@@ -264,18 +264,6 @@ void printTermInto(const CTerm &T, std::string &Out) {
   }
 }
 
-const char *familyName(Family F) {
-  switch (F) {
-  case Family::None:
-    return "none";
-  case Family::ConstantAbstraction:
-    return "constant-abstraction";
-  case Family::AcUpdate:
-    return "ac-update";
-  }
-  return "none";
-}
-
 const char *ceName(CertCE::Prop P) {
   switch (P) {
   case CertCE::Prop::Precondition:
@@ -293,26 +281,21 @@ const char *ceName(CertCE::Prop P) {
 void printSpecInto(const CertSpecUnit &S, std::string &Out) {
   Out += " (spec " + quoted(S.Name) + " (status " +
          (S.Valid ? "valid" : "invalid") + ")\n";
-  Out += "  (scope " + std::to_string(S.ScopeLo) + ' ' +
-         std::to_string(S.ScopeHi) + ' ' + std::to_string(S.ScopeBound) +
-         ")\n";
-  Out += "  (caps " + std::to_string(S.StatesCap) + ' ' +
-         std::to_string(S.ArgsCap) + ")\n";
-  Out += "  (universe " + std::to_string(S.NumStates) + ' ' +
-         std::to_string(S.NumAlphaPairs) + " (args";
-  for (const auto &[Name, N] : S.ArgCounts)
-    Out += " (" + quoted(Name) + ' ' + std::to_string(N) + ')';
-  Out += "))\n";
-  Out += "  (samples " + std::to_string(S.SampleCount) + ' ' +
-         hex64(S.SampleDigest) + ")\n";
-  Out += "  (family ";
-  if (S.Fam == Family::AcUpdate)
-    Out += std::string("(ac-update ") + quoted(S.FamilyOp) + ')';
-  else
-    Out += familyName(S.Fam);
-  Out += ")\n";
-  Out += "  (checks " + std::to_string(S.BoundedChecks) + ' ' +
-         std::to_string(S.RandomChecks) + ")\n";
+  if (S.Bounded) {
+    const CertBounded &B = *S.Bounded;
+    Out += "  (scope " + std::to_string(B.ScopeLo) + ' ' +
+           std::to_string(B.ScopeHi) + ' ' + std::to_string(B.ScopeBound) +
+           ")\n";
+    Out += "  (caps " + std::to_string(B.StatesCap) + ' ' +
+           std::to_string(B.ArgsCap) + ")\n";
+    Out += "  (universe " + std::to_string(B.NumStates) + ' ' +
+           std::to_string(B.NumAlphaPairs) + " (args";
+    for (const auto &[Name, N] : B.ArgCounts)
+      Out += " (" + quoted(Name) + ' ' + std::to_string(N) + ')';
+    Out += "))\n";
+    Out += "  (samples " + std::to_string(B.SampleCount) + ' ' +
+           hex64(B.SampleDigest) + ")\n";
+  }
   if (S.Absint) {
     const CertAbsSection &A = *S.Absint;
     Out += std::string("  (absint ") + (A.Unbounded ? "unbounded" : "partial") +
@@ -406,7 +389,7 @@ std::string cert::printValue(const ValueRef &V) {
 std::string cert::print(const Certificate &C) {
   std::string Out;
   Out.reserve(4096);
-  Out += "(commcsl-cert v1\n";
+  Out += "(commcsl-cert v2\n";
   Out += " (program " + quoted(C.ProgramName) + ' ' + hex64(C.ProgramDigest) +
          ")\n";
   Out += std::string(" (verdict ") + (C.Verified ? "verified" : "rejected") +
@@ -584,11 +567,11 @@ struct Parser {
   }
 
   bool parseU32(const SExpr &E, uint32_t &Out) {
-    uint64_t V;
+    uint64_t V = 0;
     if (!parseU64(E, V))
       return false;
     if (V > 0xFFFFFFFFULL)
-      return fail("id out of range");
+      return fail("integer " + E.Atom + " out of 32-bit range");
     Out = static_cast<uint32_t>(V);
     return true;
   }
@@ -777,10 +760,47 @@ struct Parser {
     return fail("unknown term form '" + Head + "'");
   }
 
+  /// Parses the four bounded-evidence forms starting at \p E.Kids[I].
+  bool parseBounded(const SExpr &E, size_t &I, CertBounded &B) {
+    if (I + 4 > E.Kids.size())
+      return fail("truncated bounded evidence");
+    const SExpr &Sc = E.Kids[I++];
+    if (!Sc.isForm("scope") || Sc.Kids.size() != 4 ||
+        !parseI64(Sc.Kids[1], B.ScopeLo) || !parseI64(Sc.Kids[2], B.ScopeHi) ||
+        !parseU32(Sc.Kids[3], B.ScopeBound))
+      return fail("bad spec scope");
+    const SExpr &Caps = E.Kids[I++];
+    if (!Caps.isForm("caps") || Caps.Kids.size() != 3 ||
+        !parseU64(Caps.Kids[1], B.StatesCap) ||
+        !parseU64(Caps.Kids[2], B.ArgsCap))
+      return fail("bad spec caps");
+    const SExpr &U = E.Kids[I++];
+    if (!U.isForm("universe") || U.Kids.size() != 4 ||
+        !parseU64(U.Kids[1], B.NumStates) ||
+        !parseU64(U.Kids[2], B.NumAlphaPairs) || !U.Kids[3].isForm("args"))
+      return fail("bad spec universe");
+    for (size_t J = 1; J < U.Kids[3].Kids.size(); ++J) {
+      const SExpr &AE = U.Kids[3].Kids[J];
+      std::string Name;
+      uint64_t N;
+      if (!AE.IsList || AE.Kids.size() != 2 || !parseStr(AE.Kids[0], Name) ||
+          !parseU64(AE.Kids[1], N))
+        return fail("bad spec arg count");
+      B.ArgCounts.emplace_back(std::move(Name), N);
+    }
+    const SExpr &Sm = E.Kids[I++];
+    if (!Sm.isForm("samples") || Sm.Kids.size() != 3 ||
+        !parseU32(Sm.Kids[1], B.SampleCount) ||
+        !parseHex(Sm.Kids[2], B.SampleDigest))
+      return fail("bad spec samples");
+    return true;
+  }
+
   bool parseSpec(const SExpr &E, CertSpecUnit &S) {
-    // (spec "name" (status ..) (scope ..) (caps ..) (universe ..)
-    //  (samples ..) (family ..) (checks ..) (ce ..)?)
-    if (E.Kids.size() < 8 || !parseStr(E.Kids[1], S.Name))
+    // (spec "name" (status ..) [(scope ..) (caps ..) (universe ..)
+    //  (samples ..)] [(absint ..)] [(ce ..)]). Which proof objects a unit
+    // may carry is the checker's rule, not the grammar's.
+    if (E.Kids.size() < 3 || !parseStr(E.Kids[1], S.Name))
       return fail("bad spec unit");
     size_t I = 2;
     const SExpr &St = E.Kids[I++];
@@ -792,55 +812,12 @@ struct Parser {
       S.Valid = false;
     else
       return fail("bad spec status value");
-    const SExpr &Sc = E.Kids[I++];
-    int64_t Bound;
-    if (!Sc.isForm("scope") || Sc.Kids.size() != 4 ||
-        !parseI64(Sc.Kids[1], S.ScopeLo) || !parseI64(Sc.Kids[2], S.ScopeHi) ||
-        !parseI64(Sc.Kids[3], Bound) || Bound < 0)
-      return fail("bad spec scope");
-    S.ScopeBound = static_cast<unsigned>(Bound);
-    const SExpr &Caps = E.Kids[I++];
-    if (!Caps.isForm("caps") || Caps.Kids.size() != 3 ||
-        !parseU64(Caps.Kids[1], S.StatesCap) ||
-        !parseU64(Caps.Kids[2], S.ArgsCap))
-      return fail("bad spec caps");
-    const SExpr &U = E.Kids[I++];
-    if (!U.isForm("universe") || U.Kids.size() != 4 ||
-        !parseU64(U.Kids[1], S.NumStates) ||
-        !parseU64(U.Kids[2], S.NumAlphaPairs) || !U.Kids[3].isForm("args"))
-      return fail("bad spec universe");
-    for (size_t J = 1; J < U.Kids[3].Kids.size(); ++J) {
-      const SExpr &AE = U.Kids[3].Kids[J];
-      std::string Name;
-      uint64_t N;
-      if (!AE.IsList || AE.Kids.size() != 2 || !parseStr(AE.Kids[0], Name) ||
-          !parseU64(AE.Kids[1], N))
-        return fail("bad spec arg count");
-      S.ArgCounts.emplace_back(std::move(Name), N);
+    if (I < E.Kids.size() && E.Kids[I].isForm("scope")) {
+      CertBounded B;
+      if (!parseBounded(E, I, B))
+        return false;
+      S.Bounded = std::move(B);
     }
-    const SExpr &Sm = E.Kids[I++];
-    uint64_t SampleCount;
-    if (!Sm.isForm("samples") || Sm.Kids.size() != 3 ||
-        !parseU64(Sm.Kids[1], SampleCount) || !parseHex(Sm.Kids[2], S.SampleDigest))
-      return fail("bad spec samples");
-    S.SampleCount = static_cast<unsigned>(SampleCount);
-    const SExpr &Fm = E.Kids[I++];
-    if (!Fm.isForm("family") || Fm.Kids.size() != 2)
-      return fail("bad spec family");
-    if (Fm.Kids[1].isAtom("none"))
-      S.Fam = Family::None;
-    else if (Fm.Kids[1].isAtom("constant-abstraction"))
-      S.Fam = Family::ConstantAbstraction;
-    else if (Fm.Kids[1].isForm("ac-update") && Fm.Kids[1].Kids.size() == 2 &&
-             parseStr(Fm.Kids[1].Kids[1], S.FamilyOp))
-      S.Fam = Family::AcUpdate;
-    else
-      return fail("bad spec family value");
-    const SExpr &Ck = E.Kids[I++];
-    if (!Ck.isForm("checks") || Ck.Kids.size() != 3 ||
-        !parseU64(Ck.Kids[1], S.BoundedChecks) ||
-        !parseU64(Ck.Kids[2], S.RandomChecks))
-      return fail("bad spec checks");
     if (I < E.Kids.size() && E.Kids[I].isForm("absint")) {
       const SExpr &Ab = E.Kids[I++];
       CertAbsSection A;
@@ -850,11 +827,9 @@ struct Parser {
         A.Unbounded = true;
       else if (!Ab.Kids[1].isAtom("partial"))
         return fail("bad absint mode");
-      uint64_t NComps;
       if (!Ab.Kids[2].isForm("comps") || Ab.Kids[2].Kids.size() != 2 ||
-          !parseU64(Ab.Kids[2].Kids[1], NComps))
+          !parseU32(Ab.Kids[2].Kids[1], A.NumComps))
         return fail("bad absint comps");
-      A.NumComps = static_cast<uint32_t>(NComps);
       for (size_t J = 3; J < Ab.Kids.size(); ++J) {
         const SExpr &K = Ab.Kids[J];
         if (K.isForm("u")) {
@@ -1093,9 +1068,13 @@ std::optional<Certificate> cert::parse(const std::string &Text,
     return std::nullopt;
   }
   Parser P{Error};
-  if (!Root.isForm("commcsl-cert") || Root.Kids.size() < 4 ||
-      !Root.Kids[1].isAtom("v1")) {
-    P.fail("not a commcsl-cert v1 document");
+  if (!Root.isForm("commcsl-cert") || Root.Kids.size() < 4) {
+    P.fail("not a commcsl-cert document");
+    return std::nullopt;
+  }
+  if (!Root.Kids[1].isAtom("v2")) {
+    P.fail("unsupported certificate version '" + Root.Kids[1].Atom +
+           "' (expected v2)");
     return std::nullopt;
   }
   Certificate C;
@@ -1168,6 +1147,19 @@ bool samePool(const TermPool &A, const TermPool &B) {
   return true;
 }
 
+bool sameBounded(const std::optional<CertBounded> &A,
+                 const std::optional<CertBounded> &B) {
+  if (A.has_value() != B.has_value())
+    return false;
+  if (!A)
+    return true;
+  return A->ScopeLo == B->ScopeLo && A->ScopeHi == B->ScopeHi &&
+         A->ScopeBound == B->ScopeBound && A->StatesCap == B->StatesCap &&
+         A->ArgsCap == B->ArgsCap && A->NumStates == B->NumStates &&
+         A->NumAlphaPairs == B->NumAlphaPairs && A->ArgCounts == B->ArgCounts &&
+         A->SampleCount == B->SampleCount && A->SampleDigest == B->SampleDigest;
+}
+
 bool sameCE(const std::optional<CertCE> &A, const std::optional<CertCE> &B) {
   if (A.has_value() != B.has_value())
     return false;
@@ -1190,14 +1182,7 @@ bool cert::structurallyEqual(const Certificate &A, const Certificate &B) {
   for (size_t I = 0; I < A.Specs.size(); ++I) {
     const CertSpecUnit &SA = A.Specs[I], &SB = B.Specs[I];
     if (SA.Name != SB.Name || SA.Valid != SB.Valid ||
-        SA.ScopeLo != SB.ScopeLo || SA.ScopeHi != SB.ScopeHi ||
-        SA.ScopeBound != SB.ScopeBound || SA.StatesCap != SB.StatesCap ||
-        SA.ArgsCap != SB.ArgsCap || SA.NumStates != SB.NumStates ||
-        SA.NumAlphaPairs != SB.NumAlphaPairs ||
-        SA.ArgCounts != SB.ArgCounts || SA.SampleCount != SB.SampleCount ||
-        SA.SampleDigest != SB.SampleDigest || SA.Fam != SB.Fam ||
-        SA.FamilyOp != SB.FamilyOp || SA.BoundedChecks != SB.BoundedChecks ||
-        SA.RandomChecks != SB.RandomChecks || !sameCE(SA.CE, SB.CE))
+        !sameBounded(SA.Bounded, SB.Bounded) || !sameCE(SA.CE, SB.CE))
       return false;
     if (SA.Absint.has_value() != SB.Absint.has_value())
       return false;

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The checkable proof-certificate format (DESIGN §12). A certificate is the
-/// verifier's claim, made explicit: per resource specification the validity
-/// evidence (scope, recomputable sample digest, matched algebraic family,
-/// counterexample when invalid), and per procedure the entailment queries the
-/// symbolic engine discharged — each with its goal, its assumption context,
-/// and the verdict — tied to the CommCSL side conditions by obligation
-/// labels. The independent checker (cert/Check.h) re-derives every step from
-/// the program AST alone.
+/// verifier's claim, made explicit: per resource specification the one proof
+/// object its validity status rests on (an unbounded differencing proof,
+/// recomputable bounded evidence, or a counterexample), and per procedure the
+/// entailment queries the symbolic engine discharged — each with its goal,
+/// its assumption context, and the verdict — tied to the CommCSL side
+/// conditions by obligation labels. The independent checker (cert/Check.h)
+/// re-derives every step from the program AST alone.
 ///
 /// Serialization is a compact LFSC-like s-expression format with interned
 /// terms (per-proc term pools, `@id` back-references), following the
@@ -190,10 +190,6 @@ struct CertCE {
   ValueRef V1, V2, Arg1, Arg2, AlphaLeft, AlphaRight; ///< any may be null
 };
 
-/// Known commutative families the algebraic tier can match syntactically
-/// (cert/Algebra.h). `None` means only enumeration evidence backs the spec.
-enum class Family : uint8_t { None, ConstantAbstraction, AcUpdate };
-
 /// One recorded differencing-tier obligation (DESIGN §13): the A'
 /// low-preservation proof of an action (`IsPre`, ActionB empty) or the B1
 /// commutation proof of an action pair. `Tree` is the recorded split tree,
@@ -216,30 +212,36 @@ struct CertAbsOb {
 /// corrupted template (or tree) is rejected even though the analysis
 /// verdict it shipped with was honest.
 struct CertAbsSection {
-  bool Unbounded = false; ///< whole spec proved for the unbounded domains
+  /// Whole spec proved for the unbounded domains. A section without this
+  /// claim proves nothing on its own, and the checker rejects it.
+  bool Unbounded = false;
   uint32_t NumComps = 0;  ///< pair-tree components of normalized alpha(s)
   std::vector<std::pair<std::string, std::string>> Templates; ///< action, U
   std::vector<CertAbsOb> Obligations;
 };
 
-/// Per-specification certificate unit. The universe counts and the sample
-/// digest are recomputable from the program AST alone (cert/Evidence.h);
-/// the bounded/random check counts are informational.
-struct CertSpecUnit {
-  std::string Name;
-  bool Valid = false;
+/// Recorded bounded-tier evidence: the declared scope, the universe caps
+/// the verifier swept, and the universe counts and sample digest, all
+/// recomputable from the program AST alone (cert/Evidence.h).
+struct CertBounded {
   int64_t ScopeLo = -2, ScopeHi = 2;
-  unsigned ScopeBound = 3;
+  uint32_t ScopeBound = 3;
   uint64_t StatesCap = 0, ArgsCap = 0;
   uint64_t NumStates = 0, NumAlphaPairs = 0;
   std::vector<std::pair<std::string, uint64_t>> ArgCounts;
-  unsigned SampleCount = 0;
+  uint32_t SampleCount = 0;
   uint64_t SampleDigest = 0;
-  Family Fam = Family::None;
-  std::string FamilyOp; ///< AcUpdate: the shared operator's surface name
-  uint64_t BoundedChecks = 0, RandomChecks = 0;
-  /// Differencing-tier evidence; absent when the tier was off or the
-  /// abstraction was not translatable.
+};
+
+/// Per-specification certificate unit. A well-formed unit carries exactly
+/// one proof object, the one its status rests on: `Absint` for a spec
+/// proved valid over the unbounded domains, `Bounded` for any other valid
+/// spec, `CE` for an invalid one. The checker rejects a unit with none or
+/// with more than one.
+struct CertSpecUnit {
+  std::string Name;
+  bool Valid = false;
+  std::optional<CertBounded> Bounded;
   std::optional<CertAbsSection> Absint;
   std::optional<CertCE> CE;
 };

@@ -7,7 +7,6 @@
 #include "cert/Check.h"
 
 #include "cert/AbsCheck.h"
-#include "cert/Algebra.h"
 #include "cert/Evidence.h"
 
 #include <functional>
@@ -573,48 +572,58 @@ struct Failure {
   }
 };
 
+bool checkBounded(const CertBounded &B, const ResourceSpecDecl &Decl,
+                  const Program &Prog, const std::string &Where, Failure &F) {
+  if (B.ScopeLo != Decl.ScopeIntLo || B.ScopeHi != Decl.ScopeIntHi ||
+      B.ScopeBound != Decl.ScopeCollectionBound)
+    return F.fail(Where + "recorded scope differs from the declaration");
+  if (B.StatesCap < MinStatesCap || B.ArgsCap < MinArgsCap)
+    return F.fail(Where + "universe caps below the checker floor");
+
+  SpecEvidence Ev = computeSpecEvidence(Decl, &Prog, B.StatesCap, B.ArgsCap,
+                                        SampleDraws);
+  if (Ev.NumStates != B.NumStates || Ev.NumAlphaPairs != B.NumAlphaPairs)
+    return F.fail(Where + "recomputed state universe differs");
+  if (Ev.ArgCounts != B.ArgCounts)
+    return F.fail(Where + "recomputed argument universe differs");
+  if (Ev.SampleCount != B.SampleCount || Ev.SampleDigest != B.SampleDigest)
+    return F.fail(Where + "recomputed sample digest differs");
+  if (!Ev.AllSamplesHold)
+    return F.fail(Where + "claimed valid but a recomputed sample violates "
+                          "the property");
+  return true;
+}
+
+/// One proof object per unit: the absint section for a spec proved
+/// unbounded, the bounded evidence for any other valid spec, the
+/// counterexample for an invalid one.
 bool checkSpecUnit(const CertSpecUnit &S, const ResourceSpecDecl &Decl,
                    const Program &Prog, Failure &F) {
   std::string Where = "spec '" + S.Name + "': ";
-  if (S.ScopeLo != Decl.ScopeIntLo || S.ScopeHi != Decl.ScopeIntHi ||
-      S.ScopeBound != Decl.ScopeCollectionBound)
-    return F.fail(Where + "recorded scope differs from the declaration");
-  if (S.StatesCap < MinStatesCap || S.ArgsCap < MinArgsCap)
-    return F.fail(Where + "universe caps below the checker floor");
+  int Objects = int(S.Bounded.has_value()) + int(S.Absint.has_value()) +
+                int(S.CE.has_value());
+  if (Objects == 0)
+    return F.fail(Where + "carries no proof object");
+  if (Objects > 1)
+    return F.fail(Where + "carries more than one proof object");
 
-  FamilyMatch Fam = matchFamily(Decl);
-  if (S.Fam != Fam.Fam || (S.Fam == Family::AcUpdate && S.FamilyOp != Fam.Op))
-    return F.fail(Where + "claimed algebraic family does not re-derive");
-
-  SpecEvidence Ev = computeSpecEvidence(Decl, &Prog, S.StatesCap, S.ArgsCap,
-                                        SampleDraws);
-  if (Ev.NumStates != S.NumStates || Ev.NumAlphaPairs != S.NumAlphaPairs)
-    return F.fail(Where + "recomputed state universe differs");
-  if (Ev.ArgCounts != S.ArgCounts)
-    return F.fail(Where + "recomputed argument universe differs");
-  if (Ev.SampleCount != S.SampleCount || Ev.SampleDigest != S.SampleDigest)
-    return F.fail(Where + "recomputed sample digest differs");
-
-  if (S.Valid) {
-    if (S.CE)
-      return F.fail(Where + "valid unit carries a counterexample");
-    if (!Ev.AllSamplesHold)
-      return F.fail(Where + "claimed valid but a recomputed sample violates "
-                            "the property");
-  } else {
+  if (!S.Valid) {
     if (!S.CE)
       return F.fail(Where + "invalid unit has no counterexample");
     if (!ceViolates(Decl, &Prog, *S.CE))
       return F.fail(Where + "counterexample does not re-execute as a "
                             "violation");
-    if (S.Absint && S.Absint->Unbounded)
-      return F.fail(Where + "invalid unit claims unbounded validity");
+    return true;
   }
-  if (S.Absint) {
-    std::string AbsError;
-    if (!checkAbsintSection(*S.Absint, Decl, Prog, AbsError))
-      return F.fail(Where + AbsError);
-  }
+  if (S.CE)
+    return F.fail(Where + "valid unit carries a counterexample");
+  if (S.Bounded)
+    return checkBounded(*S.Bounded, Decl, Prog, Where, F);
+  if (!S.Absint->Unbounded)
+    return F.fail(Where + "absint section does not claim unbounded validity");
+  std::string AbsError;
+  if (!checkAbsintSection(*S.Absint, Decl, Prog, AbsError))
+    return F.fail(Where + AbsError);
   return true;
 }
 

@@ -9,10 +9,11 @@
 /// certificate from the program AST alone:
 ///
 ///  - the program digest must match the parsed program;
-///  - each spec unit's universe counts, sample digest, and algebraic family
-///    are recomputed (cert/Evidence.h, cert/Algebra.h) and compared; a
-///    "valid" claim requires every recomputed sample to hold, an "invalid"
-///    claim requires the recorded counterexample to re-execute as a real
+///  - each spec unit must carry exactly one proof object, and it is
+///    re-derived: an unbounded claim's differencing section is replayed
+///    (cert/AbsCheck.h); bounded evidence has its universe counts and sample
+///    digest recomputed (cert/Evidence.h), and every recomputed sample must
+///    hold; an "invalid" claim's counterexample must re-execute as a real
 ///    violation;
 ///  - each recorded entailment query is replayed on `CheckSolver` — a
 ///    self-contained port of the solver's decision procedure (congruence
@@ -26,8 +27,9 @@
 /// verifier accept produces a certificate whose steps the checker cannot
 /// re-derive. What remains trusted is obligation *enumeration* — that the
 /// verifier emitted an obligation for every side condition the program
-/// needs — and, for spec units, the probabilistic coverage of the sample
-/// draws.
+/// needs — and, for spec units, the shared absint normalizer behind
+/// unbounded proofs and the probabilistic coverage of the sample draws
+/// behind bounded evidence.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,6 @@
 
 #include "absint/Differencing.h"
 #include "absint/TermIO.h"
-#include "cert/Algebra.h"
 #include "cert/Check.h"
 #include "cert/Evidence.h"
 
@@ -126,32 +125,13 @@ cert::CertSpecUnit commcsl::buildSpecCertUnit(const ResourceSpecDecl &Spec,
   cert::CertSpecUnit U;
   U.Name = Spec.Name;
   U.Valid = R.Valid || Forge;
-  U.ScopeLo = Spec.ScopeIntLo;
-  U.ScopeHi = Spec.ScopeIntHi;
-  U.ScopeBound = Spec.ScopeCollectionBound;
-  U.StatesCap = Cfg.MaxStates;
-  U.ArgsCap = Cfg.MaxArgs;
 
-  cert::SpecEvidence Ev = cert::computeSpecEvidence(
-      Spec, &Prog, U.StatesCap, U.ArgsCap, cert::SampleDraws);
-  U.NumStates = Ev.NumStates;
-  U.NumAlphaPairs = Ev.NumAlphaPairs;
-  U.ArgCounts = Ev.ArgCounts;
-  U.SampleCount = Ev.SampleCount;
-  U.SampleDigest = Ev.SampleDigest;
-
-  cert::FamilyMatch FM = cert::matchFamily(Spec);
-  U.Fam = FM.Fam;
-  U.FamilyOp = FM.Op;
-
-  U.BoundedChecks = R.BoundedChecks;
-  U.RandomChecks = R.RandomChecks;
-
-  // Differencing-tier evidence: the update templates and every proved
-  // obligation's split tree, recorded verbatim for search-free replay.
-  if (R.Absint && R.Absint->Applicable) {
+  // One proof object per unit. An unbounded proof records the update
+  // templates and every obligation's split tree verbatim, for search-free
+  // replay.
+  if (R.Unbounded && R.Absint) {
     cert::CertAbsSection AS;
-    AS.Unbounded = R.Unbounded;
+    AS.Unbounded = true;
     AS.NumComps = static_cast<uint32_t>(R.Absint->Comps.size());
     for (const absint::ActionAbs &A : R.Absint->Actions) {
       if (!A.U)
@@ -176,9 +156,28 @@ cert::CertSpecUnit commcsl::buildSpecCertUnit(const ResourceSpecDecl &Spec,
       AS.Obligations.push_back(std::move(Ob));
     }
     U.Absint = std::move(AS);
+    return U;
   }
 
-  if (!U.Valid && R.CE) {
+  if (U.Valid) {
+    cert::CertBounded B;
+    B.ScopeLo = Spec.ScopeIntLo;
+    B.ScopeHi = Spec.ScopeIntHi;
+    B.ScopeBound = Spec.ScopeCollectionBound;
+    B.StatesCap = Cfg.MaxStates;
+    B.ArgsCap = Cfg.MaxArgs;
+    cert::SpecEvidence Ev = cert::computeSpecEvidence(
+        Spec, &Prog, B.StatesCap, B.ArgsCap, cert::SampleDraws);
+    B.NumStates = Ev.NumStates;
+    B.NumAlphaPairs = Ev.NumAlphaPairs;
+    B.ArgCounts = Ev.ArgCounts;
+    B.SampleCount = Ev.SampleCount;
+    B.SampleDigest = Ev.SampleDigest;
+    U.Bounded = std::move(B);
+    return U;
+  }
+
+  if (R.CE) {
     cert::CertCE CE;
     switch (R.CE->Prop) {
     case ValidityCounterexample::Property::Precondition:

@@ -8,8 +8,9 @@
 /// Converts the verifier's in-memory evidence into certificate units
 /// (cert/Cert.h): a recorded ProofLog becomes a per-procedure unit with an
 /// interned term pool, and a spec validity result becomes a per-spec unit
-/// with recomputable enumeration evidence. Emission lives on the verifier
-/// side of the trust boundary — the independent checker never calls it.
+/// with the one proof object its verdict rests on. Emission lives on the
+/// verifier side of the trust boundary — the independent checker never
+/// calls it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +30,13 @@ namespace commcsl {
 cert::CertProcUnit buildProcCertUnit(const ProofLog &Log,
                                      const std::string &Name, bool Ok);
 
-/// Builds the per-spec certificate unit: declared scope, universe caps from
-/// \p Cfg, recomputable evidence (cert/Evidence.h), matched algebraic family
-/// (cert/Algebra.h), tier check counts, and — for honest invalid verdicts —
-/// the re-executable counterexample. With \p Forge, an invalid spec is
-/// claimed valid and its counterexample dropped.
+/// Builds the per-spec certificate unit, carrying the one proof object its
+/// status rests on: the differencing section when \p R proved the spec
+/// unbounded; otherwise, for a valid spec, the declared scope, the universe
+/// caps from \p Cfg and the recomputable evidence (cert/Evidence.h); for an
+/// invalid spec, the re-executable counterexample. With \p Forge, an invalid
+/// spec is claimed valid and backed by bounded evidence, which the checker
+/// then refutes.
 cert::CertSpecUnit buildSpecCertUnit(const ResourceSpecDecl &Spec,
                                      const Program &Prog,
                                      const ValidityConfig &Cfg,

@@ -17,10 +17,14 @@
 
 #include "cert/Cert.h"
 #include "cert/Check.h"
+#include "cert/Evidence.h"
 
 #include "hyperviper/Driver.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace commcsl;
 using namespace commcsl::cert;
@@ -49,7 +53,8 @@ const char *RejectedProgram =
 
 /// Emits a certificate for \p Source and hands back both the parsed
 /// document and the type-checked program it certifies.
-std::optional<Certificate> emitCert(const char *Source, const char *Name,
+std::optional<Certificate> emitCert(const std::string &Source,
+                                    const char *Name,
                                     std::shared_ptr<Program> &ProgOut,
                                     bool Forge = false,
                                     bool InjectUnsound = false) {
@@ -65,6 +70,14 @@ std::optional<Certificate> emitCert(const char *Source, const char *Name,
   std::optional<Certificate> C = parse(R.Cert, &Err);
   EXPECT_TRUE(C) << Err;
   return C;
+}
+
+std::string exampleSource(const std::string &Name) {
+  std::ifstream In(std::string(COMMCSL_EXAMPLES_DIR) + "/" + Name);
+  EXPECT_TRUE(In.good()) << Name;
+  std::ostringstream OS;
+  OS << In.rdbuf();
+  return OS.str();
 }
 
 } // namespace
@@ -105,34 +118,34 @@ TEST(TermPoolTest, MkNotReplicatesArenaNormalization) {
 namespace {
 
 /// A handcrafted certificate exercising every document feature: both unit
-/// kinds, all three fact kinds, eq and truth queries with contexts, an
-/// algebraic family, arg counts, and a counterexample.
+/// kinds, each of the three spec proof objects (bounded evidence with arg
+/// counts, an unbounded differencing section, a counterexample), all three
+/// fact kinds, and eq and truth queries with contexts.
 Certificate sampleCert() {
   Certificate C;
   C.ProgramName = "sample.hv";
   C.ProgramDigest = 0x1234abcd5678ef00ULL;
   C.Verified = false;
 
-  CertSpecUnit S;
-  S.Name = "Counter";
-  S.Valid = false;
-  S.StatesCap = MinStatesCap;
-  S.ArgsCap = MinArgsCap;
-  S.NumStates = 5;
-  S.NumAlphaPairs = 25;
-  S.ArgCounts = {{"Add", 5}, {"Reset", 1}};
-  S.SampleCount = SampleDraws;
-  S.SampleDigest = 0xfeedULL;
-  S.Fam = Family::AcUpdate;
-  S.FamilyOp = "+";
-  S.BoundedChecks = 40;
-  CertCE CE;
-  CE.P = CertCE::Prop::Commutativity;
-  CE.ActionA = "Add";
-  CE.ActionB = "Reset";
-  S.CE = CE;
+  CertSpecUnit Bounded;
+  Bounded.Name = "Queue";
+  Bounded.Valid = true;
+  CertBounded B;
+  B.StatesCap = MinStatesCap;
+  B.ArgsCap = MinArgsCap;
+  B.NumStates = 5;
+  B.NumAlphaPairs = 25;
+  B.ArgCounts = {{"Add", 5}, {"Reset", 1}};
+  B.SampleCount = SampleDraws;
+  B.SampleDigest = 0xfeedULL;
+  Bounded.Bounded = B;
+  C.Specs.push_back(std::move(Bounded));
+
+  CertSpecUnit Unbounded;
+  Unbounded.Name = "Counter";
+  Unbounded.Valid = true;
   CertAbsSection AS;
-  AS.Unbounded = false;
+  AS.Unbounded = true;
   AS.NumComps = 2;
   AS.Templates = {{"Add", "(pair (+ %arg %g0) %g1)"}};
   CertAbsOb Ob1;
@@ -146,8 +159,20 @@ Certificate sampleCert() {
   Ob2.ActionB = "Reset";
   Ob2.Tree = {""};
   AS.Obligations.push_back(std::move(Ob2));
-  S.Absint = std::move(AS);
-  C.Specs.push_back(std::move(S));
+  Unbounded.Absint = std::move(AS);
+  C.Specs.push_back(std::move(Unbounded));
+
+  CertSpecUnit Invalid;
+  Invalid.Name = "Cell";
+  Invalid.Valid = false;
+  CertCE CE;
+  CE.P = CertCE::Prop::Commutativity;
+  CE.ActionA = "Add";
+  CE.ActionB = "Reset";
+  CE.V1 = ValueFactory::intV(0);
+  CE.Arg1 = ValueFactory::intV(3);
+  Invalid.CE = CE;
+  C.Specs.push_back(std::move(Invalid));
 
   CertProcUnit P;
   P.Name = "main";
@@ -189,16 +214,19 @@ TEST(CertPrintTest, StructuralEqualitySeesThroughPoolIdLayout) {
   B.Procs[0].Facts[2].Bias = -1;
   EXPECT_FALSE(structurallyEqual(A, B));
   B = sampleCert();
-  B.Specs[0].SampleDigest ^= 1;
+  B.Specs[0].Bounded->SampleDigest ^= 1;
+  EXPECT_FALSE(structurallyEqual(A, B));
+  B = sampleCert();
+  B.Specs[2].CE->Arg1 = ValueFactory::intV(4);
   EXPECT_FALSE(structurallyEqual(A, B));
   B = sampleCert();
   B.Procs[0].Obligations[0].Queries[0].Proved = false;
   EXPECT_FALSE(structurallyEqual(A, B));
   B = sampleCert();
-  B.Specs[0].Absint->Templates[0].second = "(+ %arg %g0)";
+  B.Specs[1].Absint->Templates[0].second = "(+ %arg %g0)";
   EXPECT_FALSE(structurallyEqual(A, B));
   B = sampleCert();
-  B.Specs[0].Absint->Obligations[0].Tree[0] = "(= %x %y)";
+  B.Specs[1].Absint->Obligations[0].Tree[0] = "(= %x %y)";
   EXPECT_FALSE(structurallyEqual(A, B));
 }
 
@@ -215,6 +243,27 @@ TEST(CertParseTest, MalformedInputsAreErrorsNotCrashes) {
                      "(proc (name \"p\") (ok 1) (pool) "
                      "(fact true @99)))",
                      &Err));
+  // Fields stored in 32 bits are range-checked, never truncated: each of
+  // these values wraps to the untampered one (3, 64, 2) under a narrowing
+  // cast.
+  auto Tampered = [&Text](const std::string &From, const std::string &To) {
+    size_t At = Text.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return Text.substr(0, At) + To + Text.substr(At + From.size());
+  };
+  for (const auto &[From, To] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"(scope -2 2 3)", "(scope -2 2 4294967299)"},
+           {"(samples 64 ", "(samples 4294967360 "},
+           {"(comps 2)", "(comps 4294967298)"}}) {
+    EXPECT_FALSE(parse(Tampered(From, To), &Err)) << To;
+    EXPECT_NE(Err.find("out of 32-bit range"), std::string::npos) << Err;
+  }
+  // A document in another format version is refused by version.
+  EXPECT_FALSE(parse(Tampered("(commcsl-cert v2", "(commcsl-cert v1"), &Err));
+  EXPECT_NE(Err.find("unsupported certificate version 'v1'"),
+            std::string::npos)
+      << Err;
 }
 
 //===----------------------------------------------------------------------===//
@@ -333,13 +382,89 @@ TEST(CertCheckTest, TamperedSpecValidityIsRejected) {
 
 TEST(CertCheckTest, ShrunkUniverseCapsAreRejected) {
   // A forged certificate must not be able to weaken its own evidence base
-  // by claiming a smaller swept universe than the checker's floors.
+  // by claiming a smaller swept universe than the checker's floors. The
+  // queue spec's invariant and history clauses keep it off the unbounded
+  // tier, so its unit carries bounded evidence.
+  std::shared_ptr<Program> Prog;
+  std::optional<Certificate> C = emitCert(
+      exampleSource("producer_consumer.hv"), "producer_consumer.hv", Prog);
+  ASSERT_TRUE(C && Prog);
+  ASSERT_FALSE(C->Specs.empty());
+  ASSERT_TRUE(C->Specs[0].Bounded.has_value());
+  ASSERT_TRUE(checkCertificate(*C, *Prog).Ok);
+  C->Specs[0].Bounded->StatesCap = MinStatesCap - 1;
+  CheckResult R = checkCertificate(*C, *Prog);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("caps below the checker floor"), std::string::npos)
+      << R.Error;
+}
+
+TEST(CertCheckTest, UnitsCarryExactlyOneProofObject) {
   std::shared_ptr<Program> Prog;
   std::optional<Certificate> C = emitCert(VerifiedProgram, "ok.hv", Prog);
   ASSERT_TRUE(C && Prog);
-  ASSERT_FALSE(C->Specs.empty());
-  C->Specs[0].StatesCap = MinStatesCap - 1;
-  EXPECT_FALSE(checkCertificate(*C, *Prog).Ok);
+  ASSERT_TRUE(C->Specs[0].Absint.has_value());
+  auto ErrorOf = [&Prog](const Certificate &T) {
+    CheckResult R = checkCertificate(T, *Prog);
+    EXPECT_FALSE(R.Ok);
+    return R.Error;
+  };
+
+  Certificate T = *C; // a valid claim backed by nothing
+  T.Specs[0].Absint.reset();
+  EXPECT_NE(ErrorOf(T).find("carries no proof object"), std::string::npos);
+  T = *C; // a section without the unbounded claim proves nothing
+  T.Specs[0].Absint->Unbounded = false;
+  EXPECT_NE(ErrorOf(T).find("does not claim unbounded validity"),
+            std::string::npos);
+
+  // Bounded evidence that checks on its own...
+  const ResourceSpecDecl &Decl = Prog->Specs[0];
+  SpecEvidence Ev = computeSpecEvidence(Decl, Prog.get(), MinStatesCap,
+                                        MinArgsCap, SampleDraws);
+  CertBounded B;
+  B.ScopeLo = Decl.ScopeIntLo;
+  B.ScopeHi = Decl.ScopeIntHi;
+  B.ScopeBound = Decl.ScopeCollectionBound;
+  B.StatesCap = MinStatesCap;
+  B.ArgsCap = MinArgsCap;
+  B.NumStates = Ev.NumStates;
+  B.NumAlphaPairs = Ev.NumAlphaPairs;
+  B.ArgCounts = Ev.ArgCounts;
+  B.SampleCount = Ev.SampleCount;
+  B.SampleDigest = Ev.SampleDigest;
+  T = *C;
+  T.Specs[0].Absint.reset();
+  T.Specs[0].Bounded = B;
+  CheckResult Alone = checkCertificate(T, *Prog);
+  EXPECT_TRUE(Alone.Ok) << Alone.Error;
+  // ...is still refused next to the absint section it duplicates.
+  T.Specs[0].Absint = C->Specs[0].Absint;
+  EXPECT_NE(ErrorOf(T).find("more than one proof object"), std::string::npos);
+
+  // An absint section on an invalid unit: next to its counterexample it is
+  // a second proof object, and instead of it no counterexample at all.
+  std::shared_ptr<Program> BadProg;
+  std::optional<Certificate> Bad = emitCert(
+      exampleSource("figure1_reject.hv"), "figure1_reject.hv", BadProg);
+  ASSERT_TRUE(Bad && BadProg);
+  ASSERT_FALSE(Bad->Specs[0].Valid);
+  ASSERT_TRUE(Bad->Specs[0].CE.has_value());
+  ASSERT_TRUE(checkCertificate(*Bad, *BadProg).Ok);
+  CertAbsSection AS;
+  AS.Unbounded = true;
+  Certificate U = *Bad;
+  U.Specs[0].Absint = AS;
+  CheckResult R = checkCertificate(U, *BadProg);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("more than one proof object"), std::string::npos)
+      << R.Error;
+  U.Specs[0].CE.reset();
+  R = checkCertificate(U, *BadProg);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("invalid unit has no counterexample"),
+            std::string::npos)
+      << R.Error;
 }
 
 TEST(CertCheckTest, TamperedFinalVerdictIsRejected) {
@@ -378,8 +503,7 @@ TEST(CertCheckTest, UnboundedCertificateIsAcceptedWithNoConcreteChecks) {
   ASSERT_FALSE(C->Specs.empty());
   ASSERT_TRUE(C->Specs[0].Absint.has_value());
   EXPECT_TRUE(C->Specs[0].Absint->Unbounded);
-  EXPECT_EQ(C->Specs[0].BoundedChecks, 0u);
-  EXPECT_EQ(C->Specs[0].RandomChecks, 0u);
+  EXPECT_FALSE(C->Specs[0].Bounded.has_value()); // no samples to recompute
   EXPECT_FALSE(C->Specs[0].Absint->Templates.empty());
   CheckResult R = checkCertificate(*C, *Prog);
   EXPECT_TRUE(R.Ok) << R.Error;

@@ -121,6 +121,43 @@ TEST(CliJobsTest, ValidJobsValueAcceptedEverywhere) {
   EXPECT_TRUE(FuzzExit == 0 || FuzzExit == 1) << FuzzExit;
 }
 
+TEST(CliNumericFlagTest, OutOfRangeAndMalformedValuesAreRejected) {
+  // Each value is out of range for its field or not a number. Narrowed or
+  // half-parsed, it would become a different setting: 4294967297 seeds
+  // would run 1 seed, `--max 4294967296` would mean 0 ("no cap"), and an
+  // unparsable or negative time budget would mean no budget.
+  const std::string Fig1 = example("figure1.hv");
+  const std::pair<std::string, std::string> Cases[] = {
+      {"fuzz --seeds 4294967297", "--seeds"},
+      {"fuzz --seeds 1 --target-statements 4294967296", "--target-statements"},
+      {"fuzz --seeds 1 --shrink-budget 4294967296", "--shrink-budget"},
+      {"fuzz --seeds 1 --time-budget abc", "--time-budget"},
+      {"fuzz --seeds 1 --time-budget -5", "--time-budget"},
+      {"fuzz --seeds 1 --time-budget 5s", "--time-budget"},
+      {"fuzz --seeds 1 --time-budget inf", "--time-budget"},
+      {"suggest-spec --max 4294967296 " + Fig1, "--max"},
+      {"suggest-spec --jobs 4294967296 " + Fig1, "--jobs"},
+  };
+  for (const auto &[Args, Flag] : Cases) {
+    CmdResult R = run(Args);
+    EXPECT_EQ(R.Exit, 2) << Args;
+    EXPECT_NE(R.Output.find("invalid " + Flag + " value '"),
+              std::string::npos)
+        << Args << "\n"
+        << R.Output;
+  }
+}
+
+TEST(CliNumericFlagTest, InRangeValuesAreAccepted) {
+  int FuzzExit = run("fuzz --seeds 1 --time-budget 0.5 --target-statements 4 "
+                     "--shrink-budget 4294967295 --report " +
+                     tmpPath("fuzz-numeric.json"))
+                     .Exit;
+  EXPECT_TRUE(FuzzExit == 0 || FuzzExit == 1) << FuzzExit;
+  EXPECT_EQ(run("suggest-spec --max 4294967295 " + example("figure1.hv")).Exit,
+            0);
+}
+
 TEST(CliObservabilityTest, TraceFlagEmitsChromeTraceJson) {
   std::string Trace = tmpPath("verify.trace.json");
   CmdResult R = run("--quiet --trace " + Trace + " " + example("figure1.hv"));

@@ -111,10 +111,13 @@
 #include "support/trace/Metrics.h"
 #include "support/trace/Trace.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -201,19 +204,48 @@ unsigned requireJobs(const char *Sub, int Argc, char **Argv, int &I) {
 }
 
 /// Strict unsigned option value (same contract as --jobs but 0 allowed),
-/// for campaign sizes and budgets.
+/// for campaign sizes and budgets. A value above \p Max, the largest the
+/// option's field can hold, is the same error: never a silent wrap.
 uint64_t requireUnsigned(const char *Sub, const char *Flag, int Argc,
-                         char **Argv, int &I) {
+                         char **Argv, int &I,
+                         uint64_t Max = std::numeric_limits<uint64_t>::max()) {
   const char *Value = requireValue(Sub, Flag, Argc, Argv, I);
   std::optional<uint64_t> V = parseUnsigned64(Value);
-  if (!V) {
+  if (!V || *V > Max) {
     std::fprintf(stderr,
-                 "%s: error: invalid %s value '%s' (expected a "
-                 "non-negative integer)\n",
-                 Sub, Flag, Value);
+                 "%s: error: invalid %s value '%s' (expected an integer in "
+                 "0..%llu)\n",
+                 Sub, Flag, Value, static_cast<unsigned long long>(Max));
     std::exit(2);
   }
   return *V;
+}
+
+/// requireUnsigned for options stored in an `unsigned` field.
+unsigned requireUnsigned32(const char *Sub, const char *Flag, int Argc,
+                           char **Argv, int &I) {
+  return static_cast<unsigned>(requireUnsigned(
+      Sub, Flag, Argc, Argv, I, std::numeric_limits<unsigned>::max()));
+}
+
+/// A non-negative, finite decimal number of seconds. Signs, junk, `inf` and
+/// `nan` are the `invalid <flag> value` error with exit code 2.
+double requireSeconds(const char *Sub, const char *Flag, int Argc,
+                      char **Argv, int &I) {
+  const char *Value = requireValue(Sub, Flag, Argc, Argv, I);
+  char *End = nullptr;
+  double V = 0;
+  // strtod alone would also take a sign, leading spaces, `inf` and `nan`.
+  if (std::isdigit(static_cast<unsigned char>(Value[0])) || Value[0] == '.')
+    V = std::strtod(Value, &End);
+  if (!End || *End != '\0' || !std::isfinite(V)) {
+    std::fprintf(stderr,
+                 "%s: error: invalid %s value '%s' (expected a non-negative "
+                 "number of seconds)\n",
+                 Sub, Flag, Value);
+    std::exit(2);
+  }
+  return V;
 }
 
 int runFuzz(int Argc, char **Argv) {
@@ -227,19 +259,17 @@ int runFuzz(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Obs.parseFlag(Arg, Argc, Argv, I)) {
     } else if (Arg == "--seeds") {
-      Config.NumSeeds =
-          static_cast<unsigned>(requireUnsigned(Sub, "--seeds", Argc, Argv, I));
+      Config.NumSeeds = requireUnsigned32(Sub, "--seeds", Argc, Argv, I);
     } else if (Arg == "--base-seed") {
       Config.BaseSeed = requireUnsigned(Sub, "--base-seed", Argc, Argv, I);
     } else if (Arg == "--jobs") {
       Config.Jobs = requireJobs(Sub, Argc, Argv, I);
     } else if (Arg == "--time-budget") {
       Config.TimeBudgetSeconds =
-          std::strtod(requireValue(Sub, "--time-budget", Argc, Argv, I),
-                      nullptr);
+          requireSeconds(Sub, "--time-budget", Argc, Argv, I);
     } else if (Arg == "--target-statements") {
-      Config.Gen.TargetStatements = static_cast<unsigned>(
-          requireUnsigned(Sub, "--target-statements", Argc, Argv, I));
+      Config.Gen.TargetStatements =
+          requireUnsigned32(Sub, "--target-statements", Argc, Argv, I);
     } else if (Arg == "--no-concurrency") {
       Config.Gen.EnableConcurrency = false;
     } else if (Arg == "--no-collections") {
@@ -255,8 +285,8 @@ int runFuzz(int Argc, char **Argv) {
     } else if (Arg == "--no-shrink") {
       Config.ShrinkFindings = false;
     } else if (Arg == "--shrink-budget") {
-      Config.Shrink.MaxOracleRuns = static_cast<unsigned>(
-          requireUnsigned(Sub, "--shrink-budget", Argc, Argv, I));
+      Config.Shrink.MaxOracleRuns =
+          requireUnsigned32(Sub, "--shrink-budget", Argc, Argv, I);
     } else if (Arg == "--corpus-dir") {
       CorpusDir = requireValue(Sub, "--corpus-dir", Argc, Argv, I);
     } else if (Arg == "--report") {
@@ -535,11 +565,9 @@ int runSuggestSpec(int Argc, char **Argv) {
     if (Arg == "--spec") {
       OnlySpec = requireValue(Sub, "--spec", Argc, Argv, I);
     } else if (Arg == "--max") {
-      Options.MaxCandidates = static_cast<unsigned>(
-          requireUnsigned(Sub, "--max", Argc, Argv, I));
+      Options.MaxCandidates = requireUnsigned32(Sub, "--max", Argc, Argv, I);
     } else if (Arg == "--jobs") {
-      Options.Jobs = static_cast<unsigned>(
-          requireUnsigned(Sub, "--jobs", Argc, Argv, I));
+      Options.Jobs = requireUnsigned32(Sub, "--jobs", Argc, Argv, I);
     } else if (Arg == "--help" || Arg == "-h") {
       std::printf(
           "usage: hyperviper suggest-spec [--spec NAME] [--max N] "
