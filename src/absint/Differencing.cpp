@@ -211,18 +211,26 @@ PreFacts commcsl::absint::addRelationalPreFacts(FactCtx &Ctx, TermFactory &F,
   for (const ContractAtom &At : Act.Pre) {
     switch (At.AtomKind) {
     case ContractAtom::Kind::Low: {
-      if (At.Cond) {
-        // `c ==> low(e)` would need a disjunctive fact store; fall back.
-        Out.Supported = false;
-        return Out;
-      }
       const ATerm *E1 = At.E ? translateExpr(F, *At.E, Env1, Prog) : nullptr;
       const ATerm *E2 = At.E ? translateExpr(F, *At.E, Env2, Prog) : nullptr;
       if (!E1 || !E2) {
         Out.Supported = false;
         return Out;
       }
-      if (!Ctx.addEq(E1, E2))
+      if (!At.Cond) {
+        if (!Ctx.addEq(E1, E2))
+          Out.Infeasible = true;
+        break;
+      }
+      // `c ==> low(e)`, read as the verifier and the bounded tier read it:
+      // both runs agree on `c`, and on `e` wherever `c` holds.
+      const ATerm *C1 = translateExpr(F, *At.Cond, Env1, Prog);
+      const ATerm *C2 = translateExpr(F, *At.Cond, Env2, Prog);
+      if (!C1 || !C2) {
+        Out.Supported = false;
+        return Out;
+      }
+      if (!Ctx.addEq(C1, C2) || !Ctx.addGuardedEq(C1, E1, E2))
         Out.Infeasible = true;
       break;
     }

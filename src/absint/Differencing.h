@@ -167,8 +167,10 @@ struct PreFacts {
 
 /// Adds the relational precondition facts of \p Act over two argument
 /// symbols: `low(e)` atoms equate `e[arg:=X]` with `e[arg:=X2]`, boolean
-/// atoms hold of both. Conditional low atoms are not modeled (Supported
-/// goes false — callers fall back to the bounded tiers).
+/// atoms hold of both, and `c ==> low(e)` equates `c[arg:=X]` with
+/// `c[arg:=X2]` and registers the `e` equality guarded by `c[arg:=X]`, so
+/// it holds in every branch where the guard does. Supported goes false only
+/// for atoms that do not translate (callers fall back to the bounded tiers).
 PreFacts addRelationalPreFacts(FactCtx &Ctx, TermFactory &F,
                                const Program *Prog, const ActionDecl &Act,
                                const ATerm *X, const ATerm *X2);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "absint/Domain.h"
+#include "absint/Normalize.h"
 
 #include <algorithm>
 
@@ -208,7 +209,7 @@ bool FactCtx::addEq(const ATerm *A, const ATerm *B) {
     Infeasible = true;
     return false;
   }
-  return true;
+  return fireGuarded();
 }
 
 void FactCtx::addDiseq(const ATerm *A, const ATerm *B) {
@@ -246,7 +247,7 @@ bool FactCtx::addBool(const ATerm *T, bool Truth) {
   BoolFacts[T] = Truth;
   if (T->K == AOp::Eq)
     return Truth ? addEq(T->Kids[0], T->Kids[1])
-                 : (addDiseq(T->Kids[0], T->Kids[1]), true);
+                 : (addDiseq(T->Kids[0], T->Kids[1]), fireGuarded());
   if (T->K == AOp::Lt || T->K == AOp::Le) {
     // A < B  ==  A - B <= -1;  A <= B  ==  A - B <= 0. Negations flip.
     const ATerm *A = T->Kids[0], *B = T->Kids[1];
@@ -267,10 +268,33 @@ bool FactCtx::addBool(const ATerm *T, bool Truth) {
         Infeasible = true;
         return false;
       }
-      return true;
+      return fireGuarded();
     }
     LeZero.push_back(std::move(D));
     propagate();
+  }
+  return fireGuarded();
+}
+
+bool FactCtx::addGuardedEq(const ATerm *Guard, const ATerm *A,
+                           const ATerm *B) {
+  Pending.push_back({Guard, A, B});
+  return fireGuarded();
+}
+
+bool FactCtx::fireGuarded() {
+  for (size_t I = 0; I < Pending.size() && !Infeasible;) {
+    // The guard holds when the branch facts normalize it to `true`.
+    Normalizer N(F, *this);
+    if (N.normalize(Pending[I].Guard) != F.boolConst(true)) {
+      ++I;
+      continue;
+    }
+    GuardedEq G = Pending[I];
+    Pending.erase(Pending.begin() + I);
+    if (!addEq(G.A, G.B))
+      return false;
+    I = 0; // the new equality may decide a guard already passed over
   }
   return !Infeasible;
 }

@@ -10,8 +10,9 @@
 /// subterms such as `fst(x)` or a slot symbol), plus octagon-style
 /// difference constraints `a - b ∈ [lo, hi]` between atom pairs. The
 /// `FactCtx` accumulates the facts of one proof branch — term equalities
-/// (oriented as rewrites), disequalities, and boolean facts whose numeric
-/// content is compiled into the constraint store — and answers the three
+/// (oriented as rewrites), disequalities, boolean facts whose numeric
+/// content is compiled into the constraint store, and equalities guarded by
+/// a boolean term that install once the guard holds — and answers the three
 /// questions the normalizer asks: is `t1 == t2` (Tri), is `t1 < / <= t2`
 /// (Tri), and what is the abstract value of an integer term.
 ///
@@ -126,6 +127,10 @@ public:
   /// Records a boolean term as true/false, compiling comparisons into the
   /// numeric store. Returns false on an immediate contradiction.
   bool addBool(const ATerm *T, bool Truth);
+  /// Records `Guard ==> A == B`: the equality is installed (as by `addEq`)
+  /// once the branch facts make \p Guard true, at once if they already do.
+  /// Returns false on an immediate contradiction.
+  bool addGuardedEq(const ATerm *Guard, const ATerm *A, const ATerm *B);
 
   /// The oriented rewrite for \p T, if an equality fact targets it.
   const ATerm *rewriteOf(const ATerm *T) const;
@@ -148,6 +153,8 @@ public:
 private:
   /// Re-runs constraint propagation to a (widened) fixpoint.
   void propagate();
+  /// Installs every pending guarded equality whose guard now holds.
+  bool fireGuarded();
   Interval boundOf(const ATerm *Atom) const;
   std::optional<Interval> diffBound(const ATerm *A, const ATerm *B) const;
 
@@ -155,6 +162,11 @@ private:
   std::map<const ATerm *, const ATerm *> Rewrites; // larger -> smaller
   std::vector<std::pair<const ATerm *, const ATerm *>> Diseqs;
   std::map<const ATerm *, bool> BoolFacts;
+  struct GuardedEq {
+    const ATerm *Guard, *A, *B;
+  };
+  /// Guarded equalities whose guard is not yet known true.
+  std::vector<GuardedEq> Pending;
   /// Interval per atom.
   std::map<const ATerm *, Interval> Bounds;
   /// Parity per atom.

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -116,10 +117,26 @@ bool buildRequest(const JsonValue &J, ServiceRequest &Out,
     return false;
   }
 
+  // Fields stored as `unsigned`: a larger value is a bad request naming the
+  // field, never a silent narrowing (the CLI's numeric flags do the same).
+  auto getUnsigned = [&](const char *Key, unsigned Default, unsigned &Dst) {
+    const uint64_t Max = std::numeric_limits<unsigned>::max();
+    uint64_t V = J.getU64(Key, Default);
+    if (V > Max) {
+      Message = std::string("invalid \"") + Key + "\" value " +
+                std::to_string(V) + " (expected an integer in 0.." +
+                std::to_string(Max) + ")";
+      return false;
+    }
+    Dst = static_cast<unsigned>(V);
+    return true;
+  };
+
   Out.Source = J.getString("source");
   Out.Name = J.getString("name", "<request>");
   Out.Proc = J.getString("proc");
-  Out.Jobs = static_cast<unsigned>(J.getU64("jobs", 0));
+  if (!getUnsigned("jobs", 0, Out.Jobs))
+    return false;
   Out.Triage = J.getBool("triage");
   Out.NoValidity = J.getBool("no_validity");
   Out.EmitCert = J.getBool("emit_cert");
@@ -127,7 +144,8 @@ bool buildRequest(const JsonValue &J, ServiceRequest &Out,
   Out.MaxSteps = J.getU64("max_steps", 0);
 
   if (Out.V == ServiceRequest::Verb::Fuzz) {
-    Out.Fuzz.NumSeeds = J.getU64("seeds", Out.Fuzz.NumSeeds);
+    if (!getUnsigned("seeds", Out.Fuzz.NumSeeds, Out.Fuzz.NumSeeds))
+      return false;
     Out.Fuzz.BaseSeed = J.getU64("base_seed", Out.Fuzz.BaseSeed);
     Out.Fuzz.Jobs = Out.Jobs;
     return true;

@@ -139,6 +139,30 @@ TEST(AbsintNormalizeTest, IntervalFactsDecideKeyOrder) {
   EXPECT_EQ(Ctx.decideEq(K1, K2), Tri::False);
 }
 
+TEST(AbsintNormalizeTest, GuardedEqualityWaitsForItsGuard) {
+  // `k > 0 ==> a == b`: nothing is known until the facts decide the guard,
+  // here through a differently written bound (k >= 1).
+  TermFactory F;
+  FactCtx Ctx(F);
+  const ATerm *K = F.sym("k"), *A = F.sym("a"), *B = F.sym("b");
+  ASSERT_TRUE(Ctx.addGuardedEq(F.app(AOp::Lt, {F.intConst(0), K}), A, B));
+  EXPECT_EQ(Ctx.decideEq(A, B), Tri::Unknown);
+  FactCtx Else = Ctx;
+  ASSERT_TRUE(Else.addBool(F.app(AOp::Le, {K, F.intConst(0)}), true));
+  EXPECT_EQ(Else.decideEq(A, B), Tri::Unknown);
+  ASSERT_TRUE(Ctx.addBool(F.app(AOp::Le, {F.intConst(1), K}), true));
+  EXPECT_EQ(Ctx.decideEq(A, B), Tri::True);
+
+  // A conjunctive guard holds once a split assumes the conjunction, which
+  // the fact store records as its conjuncts.
+  FactCtx Conj(F);
+  const ATerm *P = F.sym("p"), *Q = F.sym("q");
+  const ATerm *PQ = F.app(AOp::And, {P, Q});
+  ASSERT_TRUE(Conj.addGuardedEq(PQ, A, B));
+  ASSERT_TRUE(Conj.addBool(PQ, true));
+  EXPECT_EQ(Conj.decideEq(A, B), Tri::True);
+}
+
 TEST(AbsintNormalizeTest, SortIsAFunctionOfTheElementMultiset) {
   TermFactory F;
   FactCtx Ctx(F);
@@ -335,6 +359,81 @@ TEST(AbsintSpecTest, UniqueSelfPairsAreSkipped) {
   EXPECT_TRUE(R.AllProved);
 }
 
+namespace {
+
+/// `c ==> low(e)` (Sec. 3.4): the flag is low, the payload only where the
+/// flag holds. Read as the verifier reads it, a template that ignores the
+/// payload closes at once, and one that adds the payload under the flag
+/// closes with one split on the flag.
+const char *RecordLogSource = R"(
+    resource RecordLog {
+      state: seq<pair<bool, int>>;
+      alpha(v) = len(v);
+      shared action Append(a: pair<bool, int>) {
+        apply(v, a) = append(v, a);
+        requires low(fst(a)) && fst(a) ==> low(snd(a));
+      }
+    }
+  )";
+
+const char *PublicSumSource = R"(
+    resource PublicSum {
+      state: int;
+      alpha(v) = v;
+      shared action Add(a: pair<bool, int>) {
+        apply(v, a) = ite(fst(a), v + snd(a), v);
+        requires low(fst(a)) && fst(a) ==> low(snd(a));
+      }
+    }
+  )";
+
+} // namespace
+
+TEST(AbsintSpecTest, ConditionalLowPayloadOutsideTheTemplateIsALeaf) {
+  SpecAbsResult R = analyze(RecordLogSource);
+  ASSERT_TRUE(R.Applicable);
+  EXPECT_TRUE(R.AllProved) << "pre=" << obStatusName(R.Actions[0].Pre)
+                           << " comm=" << obStatusName(R.Pairs[0].Comm);
+  ASSERT_NE(R.Actions[0].PreTree, nullptr);
+  EXPECT_EQ(R.Actions[0].PreTree->Guard, nullptr);
+  ASSERT_NE(R.Pairs[0].Tree, nullptr);
+  EXPECT_EQ(R.Pairs[0].Tree->Guard, nullptr);
+}
+
+TEST(AbsintSpecTest, ConditionalLowPayloadSplitsOnTheFlag) {
+  SpecAbsResult R = analyze(PublicSumSource);
+  ASSERT_TRUE(R.Applicable);
+  ASSERT_EQ(R.Actions[0].Pre, ObStatus::Proved);
+  const SplitNode *Tree = R.Actions[0].PreTree.get();
+  ASSERT_NE(Tree, nullptr);
+  ASSERT_NE(Tree->Guard, nullptr);
+  // The flag of either run: the precondition equates the two.
+  TermFactory &F = *R.Factory;
+  const ATerm *FlagX = F.bi(BuiltinKind::Fst, {F.sym(argSymA())});
+  const ATerm *FlagX2 = F.bi(BuiltinKind::Fst, {F.sym(argSymA2())});
+  EXPECT_TRUE(Tree->Guard == FlagX || Tree->Guard == FlagX2)
+      << Tree->Guard->str();
+  EXPECT_EQ(Tree->depth(), 1u);
+}
+
+TEST(AbsintSpecTest, PayloadAddedWithoutItsFlagIsNotLowPreserving) {
+  // The payload is only low under the flag; adding it unconditionally
+  // leaks it when the flag is false.
+  SpecAbsResult R = analyze(R"(
+    resource LeakySum {
+      state: int;
+      alpha(v) = v;
+      shared action Add(a: pair<bool, int>) {
+        apply(v, a) = v + snd(a);
+        requires low(fst(a)) && fst(a) ==> low(snd(a));
+      }
+    }
+  )");
+  ASSERT_TRUE(R.Applicable);
+  EXPECT_NE(R.Actions[0].Pre, ObStatus::Proved);
+  EXPECT_FALSE(R.AllProved);
+}
+
 TEST(AbsintSpecTest, AnalysisIsDeterministic) {
   const char *Source = R"(
     resource PurchaseCounts {
@@ -389,6 +488,27 @@ TEST(AbsintSpecTest, ReplayAcceptsRecordedTreesAndRejectsTruncation) {
   // A truncated tree (bare leaf where splits are needed) must not check.
   SplitNode Leaf;
   EXPECT_FALSE(replaySplitTree(F, L, Rt, Ctx, &Leaf, {}));
+
+  // The same for an A' tree that splits on a conditional precondition's
+  // guard: replay installs the guarded payload equality in the then-branch.
+  Keep.push_back(std::make_unique<Program>(parseChecked(PublicSumSource)));
+  Program &SumP = *Keep.back();
+  SpecAbsResult SumR = analyzeSpec(SumP.Specs[0], &SumP);
+  const ActionAbs &Add = SumR.Actions[0];
+  ASSERT_EQ(Add.Pre, ObStatus::Proved);
+  ASSERT_NE(Add.PreTree->Guard, nullptr);
+  TermFactory &SF = *SumR.Factory;
+  const ATerm *Arg = SF.sym(argSymName());
+  const ATerm *X = SF.sym(argSymA()), *X2 = SF.sym(argSymA2());
+  FactCtx PreCtx(SF);
+  PreFacts PF =
+      addRelationalPreFacts(PreCtx, SF, &SumP, SumP.Specs[0].Actions[0], X, X2);
+  ASSERT_TRUE(PF.Supported);
+  ASSERT_FALSE(PF.Infeasible);
+  const ATerm *PL = substTerm(SF, Add.U, {{Arg, X}});
+  const ATerm *PR = substTerm(SF, Add.U, {{Arg, X2}});
+  EXPECT_TRUE(replaySplitTree(SF, PL, PR, PreCtx, Add.PreTree.get(), {}));
+  EXPECT_FALSE(replaySplitTree(SF, PL, PR, PreCtx, &Leaf, {}));
 }
 
 TEST(AbsintSpecTest, InjectUnsoundCorruptsTemplateButNotVerdicts) {

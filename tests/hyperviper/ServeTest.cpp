@@ -423,6 +423,19 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
   JsonValue NoSource = C.rpc(R"({"id":2,"verb":"verify"})");
   ASSERT_NE(NoSource.find("error"), nullptr);
   EXPECT_EQ(NoSource.find("error")->getString("type"), "bad-request");
+
+  // `seeds` and `jobs` are stored as unsigned: 2^32 + 1 must be refused by
+  // name, not narrowed to 1 and run.
+  for (const char *Field : {"seeds", "jobs"}) {
+    SCOPED_TRACE(Field);
+    JsonValue Wide = C.rpc(std::string(R"({"id":3,"verb":"fuzz",")") + Field +
+                           R"(":4294967297})");
+    ASSERT_NE(Wide.find("error"), nullptr);
+    EXPECT_EQ(Wide.find("error")->getString("type"), "bad-request");
+    EXPECT_NE(Wide.find("error")->getString("message").find(Field),
+              std::string::npos);
+    EXPECT_EQ(Wide.getU64("id"), 3u);
+  }
 }
 
 TEST(ServeTest, ShutdownVerbDrainsAndExitsZero) {

@@ -29,8 +29,9 @@ using namespace commcsl::test;
 namespace {
 
 /// Known-invalid specs: the Fig. 1 assignment pair, the identity-abstraction
-/// map (Fig. 3 without dom()), a value leak through alpha, and a missing
-/// low-argument precondition.
+/// map (Fig. 3 without dom()), a value leak through alpha, a missing
+/// low-argument precondition, and a payload that is only low under its flag
+/// (`c ==> low(e)`) but is added whatever the flag says.
 const char *InvalidSources[] = {
     R"(
       resource AssignPair {
@@ -64,6 +65,16 @@ const char *InvalidSources[] = {
         state: int;
         alpha(v) = v;
         shared action Sub(a: int) { apply(v, a) = a - v; requires low(a); }
+      }
+    )",
+    R"(
+      resource LeakySum {
+        state: int;
+        alpha(v) = v;
+        shared action Add(a: pair<bool, int>) {
+          apply(v, a) = v + snd(a);
+          requires low(fst(a)) && fst(a) ==> low(snd(a));
+        }
       }
     )",
 };
