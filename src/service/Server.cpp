@@ -6,13 +6,12 @@
 
 #include "service/Server.h"
 
-#include "service/Json.h"
+#include "service/Options.h"
 #include "support/trace/Metrics.h"
 
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -66,17 +65,16 @@ JsonValue cacheJson(const CacheStats &C) {
 
 /// Echoes the request's `id` (verbatim, any JSON type) into a response
 /// object. Requests without an id get responses without one.
-JsonValue responseShell(const JsonValue *Request) {
+JsonValue responseShell(const std::optional<JsonValue> &Id) {
   JsonValue O = JsonValue::object();
-  if (Request)
-    if (const JsonValue *Id = Request->find("id"))
-      O.set("id", *Id);
+  if (Id)
+    O.set("id", *Id);
   return O;
 }
 
-std::string errorLine(const JsonValue *Request, const std::string &Type,
-                      const std::string &Message) {
-  JsonValue O = responseShell(Request);
+std::string errorLine(const std::optional<JsonValue> &Id,
+                      const std::string &Type, const std::string &Message) {
+  JsonValue O = responseShell(Id);
   JsonValue E = JsonValue::object();
   E.set("type", JsonValue::string(Type));
   E.set("message", JsonValue::string(Message));
@@ -84,9 +82,9 @@ std::string errorLine(const JsonValue *Request, const std::string &Type,
   return O.dump() + "\n";
 }
 
-std::string responseLine(const JsonValue &Request,
+std::string responseLine(const std::optional<JsonValue> &Id,
                          const ServiceResponse &Resp) {
-  JsonValue O = responseShell(&Request);
+  JsonValue O = responseShell(Id);
   O.set("ok", JsonValue::boolean(Resp.Ok));
   O.set("exit", JsonValue::number(static_cast<uint64_t>(Resp.Exit)));
   O.set("report", JsonValue::string(Resp.Report));
@@ -95,70 +93,6 @@ std::string responseLine(const JsonValue &Request,
   O.set("program_cache_hit", JsonValue::boolean(Resp.ProgramCacheHit));
   O.set("cache", cacheJson(Resp.Cache));
   return O.dump() + "\n";
-}
-
-/// Maps the protocol verb to a ServiceRequest, or returns false with a
-/// message for the bad-request response.
-bool buildRequest(const JsonValue &J, ServiceRequest &Out,
-                  std::string &Message) {
-  const std::string Verb = J.getString("verb");
-  if (Verb == "verify")
-    Out.V = ServiceRequest::Verb::Verify;
-  else if (Verb == "validity")
-    Out.V = ServiceRequest::Verb::Validity;
-  else if (Verb == "analyze")
-    Out.V = ServiceRequest::Verb::Analyze;
-  else if (Verb == "ni")
-    Out.V = ServiceRequest::Verb::NI;
-  else if (Verb == "fuzz")
-    Out.V = ServiceRequest::Verb::Fuzz;
-  else {
-    Message = Verb.empty() ? "missing \"verb\"" : "unknown verb: " + Verb;
-    return false;
-  }
-
-  // Fields stored as `unsigned`: a larger value is a bad request naming the
-  // field, never a silent narrowing (the CLI's numeric flags do the same).
-  auto getUnsigned = [&](const char *Key, unsigned Default, unsigned &Dst) {
-    const uint64_t Max = std::numeric_limits<unsigned>::max();
-    uint64_t V = J.getU64(Key, Default);
-    if (V > Max) {
-      Message = std::string("invalid \"") + Key + "\" value " +
-                std::to_string(V) + " (expected an integer in 0.." +
-                std::to_string(Max) + ")";
-      return false;
-    }
-    Dst = static_cast<unsigned>(V);
-    return true;
-  };
-
-  Out.Source = J.getString("source");
-  Out.Name = J.getString("name", "<request>");
-  Out.Proc = J.getString("proc");
-  if (!getUnsigned("jobs", 0, Out.Jobs))
-    return false;
-  Out.Triage = J.getBool("triage");
-  Out.NoValidity = J.getBool("no_validity");
-  Out.EmitCert = J.getBool("emit_cert");
-  Out.BudgetMs = J.getU64("budget_ms", 0);
-  Out.MaxSteps = J.getU64("max_steps", 0);
-
-  if (Out.V == ServiceRequest::Verb::Fuzz) {
-    if (!getUnsigned("seeds", Out.Fuzz.NumSeeds, Out.Fuzz.NumSeeds))
-      return false;
-    Out.Fuzz.BaseSeed = J.getU64("base_seed", Out.Fuzz.BaseSeed);
-    Out.Fuzz.Jobs = Out.Jobs;
-    return true;
-  }
-  if (Out.Source.empty()) {
-    Message = "verb \"" + Verb + "\" requires a nonempty \"source\"";
-    return false;
-  }
-  if (Out.V == ServiceRequest::Verb::NI && Out.Proc.empty()) {
-    Message = "verb \"ni\" requires \"proc\"";
-    return false;
-  }
-  return true;
 }
 
 } // namespace
@@ -296,45 +230,34 @@ void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,
   std::string ParseError;
   std::optional<JsonValue> J = JsonValue::parse(Line, &ParseError);
   if (!J || !J->isObject()) {
-    Conn.writeLine(errorLine(J ? &*J : nullptr, "bad-request",
+    Conn.writeLine(errorLine(std::nullopt, "bad-request",
                              J ? "request must be a JSON object"
                                : ParseError));
     return;
   }
-
-  const std::string Verb = J->getString("verb");
+  std::optional<JsonValue> Id;
+  if (const JsonValue *I = J->find("id"))
+    Id = *I;
+  ParsedRequest P = parseRequest(*J);
+  if (!P.ErrorType.empty()) {
+    Conn.writeLine(errorLine(Id, P.ErrorType, P.Error));
+    return;
+  }
 
   // Control verbs are handled inline on the reader thread — never queued —
   // so a saturated queue cannot starve health checks or shutdown.
-  if (Verb == "stats") {
-    JsonValue O = responseShell(&*J);
+  if (P.Verb == "stats" || P.Verb == "reset" || P.Verb == "shutdown") {
+    JsonValue O = responseShell(Id);
     O.set("ok", JsonValue::boolean(true));
-    O.setRaw("stats", statsJson());
+    if (P.Verb == "stats")
+      O.setRaw("stats", statsJson());
+    else if (P.Verb == "reset")
+      Sess.resetCaches();
+    else
+      O.set("shutting_down", JsonValue::boolean(true));
     Conn.writeLine(O.dump() + "\n");
-    return;
-  }
-  if (Verb == "reset") {
-    Sess.resetCaches();
-    JsonValue O = responseShell(&*J);
-    O.set("ok", JsonValue::boolean(true));
-    Conn.writeLine(O.dump() + "\n");
-    return;
-  }
-  if (Verb == "shutdown") {
-    JsonValue O = responseShell(&*J);
-    O.set("ok", JsonValue::boolean(true));
-    O.set("shutting_down", JsonValue::boolean(true));
-    Conn.writeLine(O.dump() + "\n");
-    stop();
-    return;
-  }
-
-  ServiceRequest Request;
-  std::string Message;
-  if (!buildRequest(*J, Request, Message)) {
-    const bool Unknown = Message.rfind("unknown verb", 0) == 0;
-    Conn.writeLine(
-        errorLine(&*J, Unknown ? "unknown-verb" : "bad-request", Message));
+    if (P.Verb == "shutdown")
+      stop();
     return;
   }
 
@@ -343,12 +266,12 @@ void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,
     std::lock_guard<std::mutex> Lock(QueueMu);
     if (Stopping.load()) {
       Conn.writeLine(
-          errorLine(&*J, "shutting-down", "server is shutting down"));
+          errorLine(Id, "shutting-down", "server is shutting down"));
       return;
     }
     if (Queue.size() >= MaxQueue) {
       Conn.writeLine(errorLine(
-          &*J, "busy",
+          Id, "busy",
           "request queue full (" + std::to_string(Queue.size()) +
               " queued); retry later"));
       MetricsRegistry::global()
@@ -356,7 +279,7 @@ void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,
           .add(1);
       return;
     }
-    Queue.push_back(QueueItem{ConnPtr, Line});
+    Queue.push_back(QueueItem{ConnPtr, std::move(Id), std::move(P.Req)});
   }
   QueueCv.notify_one();
 }
@@ -374,25 +297,18 @@ void Server::workerLoop() {
       Queue.pop_front();
       ++InFlight;
     }
-    // The line already parsed once (serveLine validated it); parse again
-    // here so the queue holds plain strings.
-    std::optional<JsonValue> J = JsonValue::parse(Item.Line);
-    ServiceRequest Request;
-    std::string Message;
-    if (J && buildRequest(*J, Request, Message)) {
-      ServiceResponse Resp = Sess.handle(Request);
-      if (Resp.TimedOut)
-        // Typed timeout: the budget fired before a verdict. The partial
-        // work drained gracefully and the warm caches are untouched, so a
-        // retry with a larger budget starts from a warmer state.
-        Item.Conn->writeLine(errorLine(
-            &*J, "timeout",
-            "request exceeded its budget (budget_ms/max_steps) before "
-            "reaching a verdict; caches remain warm — retry with a larger "
-            "budget"));
-      else
-        Item.Conn->writeLine(responseLine(*J, Resp));
-    }
+    ServiceResponse Resp = Sess.handle(Item.Request);
+    if (Resp.TimedOut)
+      // Typed timeout: the budget fired before a verdict. The partial work
+      // drained gracefully and the warm caches are untouched, so a retry
+      // with a larger budget starts from a warmer state.
+      Item.Conn->writeLine(errorLine(
+          Item.Id, "timeout",
+          "request exceeded its budget (budget_ms/max_steps) before "
+          "reaching a verdict; caches remain warm — retry with a larger "
+          "budget"));
+    else
+      Item.Conn->writeLine(responseLine(Item.Id, Resp));
     {
       std::lock_guard<std::mutex> Lock(QueueMu);
       --InFlight;

@@ -11,15 +11,11 @@
 /// pipeline. Responses to concurrent requests on one connection come back
 /// in completion order.
 ///
-/// Request shape (verb selects the subsystem; see DESIGN §11 for the full
-/// protocol table):
+/// Request shape (the verb selects the subsystem; the keys each verb takes
+/// are the rows of its option table, service/Options.h):
 ///
-///   {"id":1,"verb":"verify","source":"...","name":"acct.hv",
-///    "proc":"deposit","jobs":3,"triage":false,"no_validity":false}
-///   {"id":2,"verb":"validity"|"analyze"|"ni", ...}
-///   {"id":3,"verb":"fuzz","seeds":50,"base_seed":1}
+///   {"id":1,"verb":"verify","source":"...","name":"acct.hv","jobs":3}
 ///   {"id":4,"verb":"stats"}
-///   {"id":5,"verb":"shutdown"}
 ///
 /// Response shape:
 ///
@@ -27,10 +23,11 @@
 ///    "program_cache_hit":false,"cache":{"alpha_hits":...,...}}
 ///   {"id":9,"error":{"type":"busy","message":"..."}}
 ///
-/// Error types: `bad-request` (unparseable line / missing field),
-/// `unknown-verb`, `busy` (bounded work queue full — the backpressure
-/// contract: the daemon never buffers unboundedly, it refuses), and
-/// `shutting-down`.
+/// Error types: `bad-request` (an unparseable line, a missing field, a key
+/// the verb does not take, or a value of the wrong type or range; see
+/// service/Options.h), `unknown-verb`, `busy` (bounded work queue full —
+/// the backpressure contract: the daemon never buffers unboundedly, it
+/// refuses), `timeout`, and `shutting-down`.
 ///
 /// The `report` string is byte-identical to the one-shot CLI's combined
 /// stderr+stdout output for the same input, cold or warm cache, at any
@@ -49,6 +46,7 @@
 #ifndef COMMCSL_SERVICE_SERVER_H
 #define COMMCSL_SERVICE_SERVER_H
 
+#include "service/Json.h"
 #include "service/Session.h"
 
 #include <atomic>
@@ -57,6 +55,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,9 +103,11 @@ public:
 
 private:
   struct Connection;
+  /// A validated request waiting for a worker.
   struct QueueItem {
     std::shared_ptr<Connection> Conn;
-    std::string Line;
+    std::optional<JsonValue> Id; ///< echoed on the response
+    ServiceRequest Request;
   };
 
   void acceptLoop();

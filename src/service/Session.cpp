@@ -129,7 +129,8 @@ Session::obtain(const std::string &Source, const std::string &Name,
   WasHit = false;
   // LRU bound: evict the stalest entry. In-flight requests holding the
   // evicted shared_ptr keep it alive until they finish; only the warm
-  // lookup path loses it.
+  // lookup path loses it. That includes this request's own entry when the
+  // cap is 0, so return the pointer held here, never the erased slot.
   while (Programs.size() > Options.MaxCachedPrograms) {
     auto Oldest = Programs.begin();
     for (auto I = Programs.begin(); I != Programs.end(); ++I)
@@ -137,7 +138,7 @@ Session::obtain(const std::string &Source, const std::string &Name,
         Oldest = I;
     Programs.erase(Oldest);
   }
-  return It->second;
+  return Fresh;
 }
 
 DriverOptions

@@ -51,8 +51,8 @@ struct SessionOptions {
   unsigned Jobs = 0;
   /// Verifier triage fast path for verify requests.
   bool Triage = false;
-  /// Parsed programs kept warm (LRU beyond this). Evicting a program also
-  /// drops its spec memo caches.
+  /// Parsed programs kept warm (LRU beyond this; 0 keeps none). Evicting a
+  /// program also drops its spec memo caches.
   size_t MaxCachedPrograms = 32;
   /// Capacity bound per spec memo cache.
   size_t MemoMaxEntries = SpecEvalCache::DefaultMaxEntries;

@@ -24,10 +24,3 @@ std::optional<uint64_t> commcsl::parseUnsigned64(const std::string &S) {
   }
   return V;
 }
-
-std::optional<unsigned> commcsl::parseJobsValue(const std::string &S) {
-  std::optional<uint64_t> V = parseUnsigned64(S);
-  if (!V || *V == 0 || *V > std::numeric_limits<unsigned>::max())
-    return std::nullopt;
-  return static_cast<unsigned>(*V);
-}

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Strict, exception-free parsing of unsigned decimal strings. Unlike bare
-/// `std::stoull`, these reject empty input, signs, leading/trailing junk
+/// `std::stoull`, it rejects empty input, signs, leading/trailing junk
 /// (`"4x"`), and out-of-range values by returning `std::nullopt` instead
-/// of throwing — the contract every header-field and CLI-option parser in
-/// the project shares (`--jobs`, corpus `// seed:` headers, ...).
+/// of throwing — the contract every header-field and option parser in the
+/// project shares (the option table's integers, corpus `// seed:` headers,
+/// ...).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +27,6 @@ namespace commcsl {
 /// not entirely digits (including `+`/`-` signs and whitespace) and
 /// values exceeding uint64_t.
 std::optional<uint64_t> parseUnsigned64(const std::string &S);
-
-/// Parses a `--jobs` option value: a positive integer with no junk, no
-/// sign, fitting in unsigned. Zero is rejected — "use every core" is
-/// spelled by omitting the flag, and a silent 0->default coercion has
-/// historically masked typos.
-std::optional<unsigned> parseJobsValue(const std::string &S);
 
 } // namespace commcsl
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -137,6 +138,9 @@ TEST(CliNumericFlagTest, OutOfRangeAndMalformedValuesAreRejected) {
       {"fuzz --seeds 1 --time-budget inf", "--time-budget"},
       {"suggest-spec --max 4294967296 " + Fig1, "--max"},
       {"suggest-spec --jobs 4294967296 " + Fig1, "--jobs"},
+      {"serve --port 70000", "--port"},
+      {"serve --workers 0", "--workers"},
+      {"serve --max-queue 0", "--max-queue"},
   };
   for (const auto &[Args, Flag] : Cases) {
     CmdResult R = run(Args);
@@ -156,6 +160,25 @@ TEST(CliNumericFlagTest, InRangeValuesAreAccepted) {
   EXPECT_TRUE(FuzzExit == 0 || FuzzExit == 1) << FuzzExit;
   EXPECT_EQ(run("suggest-spec --max 4294967295 " + example("figure1.hv")).Exit,
             0);
+}
+
+TEST(CliAnalyzeTest, CheckWithWriteIsAUsageErrorThatLeavesSidecars) {
+  // `--check --write` would rewrite every sidecar and then check the files
+  // it had just written, so a stale sidecar passed the check.
+  const std::string Dir = tmpPath("analyze-stale");
+  std::filesystem::create_directories(Dir);
+  std::filesystem::copy_file(example("figure1.hv"), Dir + "/figure1.hv",
+                             std::filesystem::copy_options::overwrite_existing);
+  const std::string Sidecar = Dir + "/figure1.hv.analysis";
+  {
+    std::ofstream Out(Sidecar);
+    Out << "stale\n";
+  }
+  CmdResult Both = run("analyze --check --write " + Dir);
+  EXPECT_EQ(Both.Exit, 2) << Both.Output;
+  EXPECT_EQ(slurp(Sidecar), "stale\n");
+  EXPECT_EQ(run("analyze --check " + Dir).Exit, 1);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(CliObservabilityTest, TraceFlagEmitsChromeTraceJson) {

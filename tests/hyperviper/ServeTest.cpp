@@ -436,6 +436,48 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
               std::string::npos);
     EXPECT_EQ(Wide.getU64("id"), 3u);
   }
+
+  // A wrong type, a negative, fractional or zero `jobs`, or a key the verb
+  // does not take is refused by name, never run with a default.
+  const JsonValue Source = JsonValue::string(slurp(example("figure1.hv")));
+  const struct {
+    const char *Verb, *Key, *Value;
+    bool Unknown; ///< a key the verb does not take
+  } Probes[] = {
+      {"fuzz", "seeds", R"("3")", false},
+      {"verify", "max_steps", R"("1")", false},
+      {"verify", "triage", R"("true")", false},
+      {"verify", "jobs", "-1", false},
+      {"verify", "jobs", "2.5", false},
+      {"verify", "jobs", "0", false},
+      {"verify", "name", "7", false},
+      {"verify", "bogus_key", "1", true},
+      {"analyze", "emit_cert", "true", true},
+      {"analyze", "proc", R"("main")", true},
+  };
+  for (const auto &P : Probes) {
+    SCOPED_TRACE(std::string(P.Verb) + " " + P.Key);
+    JsonValue O = JsonValue::object();
+    O.set("id", JsonValue::number(uint64_t{4}));
+    O.set("verb", JsonValue::string(P.Verb));
+    if (std::string(P.Verb) != "fuzz")
+      O.set("source", Source);
+    O.set(P.Key, *JsonValue::parse(P.Value));
+    JsonValue R = C.rpc(O.dump());
+    const JsonValue *E = R.find("error");
+    ASSERT_NE(E, nullptr) << R.dump().substr(0, 200);
+    EXPECT_EQ(E->getString("type"), "bad-request");
+    const std::string Message = E->getString("message");
+    EXPECT_NE(Message.find(std::string("\"") + P.Key + "\""),
+              std::string::npos)
+        << Message;
+    if (P.Unknown) {
+      EXPECT_NE(Message.find(std::string("\"") + P.Verb + "\""),
+                std::string::npos)
+          << Message;
+    }
+    EXPECT_EQ(R.getU64("id"), 4u);
+  }
 }
 
 TEST(ServeTest, ShutdownVerbDrainsAndExitsZero) {

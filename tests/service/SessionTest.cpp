@@ -167,6 +167,18 @@ TEST(SessionTest, LruEvictsStalestProgram) {
   ServiceResponse Again = S.handle(verifyRequest(VerifiedProgram, "a.hv"));
   EXPECT_FALSE(Again.ProgramCacheHit); // was evicted, re-parsed
   EXPECT_TRUE(Again.Ok);
+
+  // Capacity 0 keeps nothing warm: each request evicts the program it just
+  // parsed and still runs on it.
+  Opts.MaxCachedPrograms = 0;
+  Session Z(Opts);
+  for (int I = 0; I < 2; ++I) {
+    ServiceResponse R = Z.handle(verifyRequest(VerifiedProgram, "z.hv"));
+    EXPECT_FALSE(R.ProgramCacheHit);
+    EXPECT_TRUE(R.Ok);
+    EXPECT_EQ(R.Report, "z.hv: verified\n");
+  }
+  EXPECT_EQ(Z.stats().ProgramsCached, 0u);
 }
 
 TEST(SessionTest, ValidityVerbReportsPerSpecVerdicts) {

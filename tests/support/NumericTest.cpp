@@ -38,21 +38,3 @@ TEST(NumericTest, ParseUnsigned64RejectsOverflow) {
   EXPECT_FALSE(parseUnsigned64("18446744073709551616"));
   EXPECT_FALSE(parseUnsigned64("99999999999999999999999999"));
 }
-
-TEST(NumericTest, ParseJobsValueAcceptsPositiveIntegers) {
-  EXPECT_EQ(parseJobsValue("1"), 1u);
-  EXPECT_EQ(parseJobsValue("8"), 8u);
-  EXPECT_EQ(parseJobsValue("64"), 64u);
-}
-
-TEST(NumericTest, ParseJobsValueRejectsZeroJunkAndOverflow) {
-  EXPECT_FALSE(parseJobsValue("0"));
-  EXPECT_FALSE(parseJobsValue(""));
-  EXPECT_FALSE(parseJobsValue("4x"));
-  EXPECT_FALSE(parseJobsValue("-2"));
-  EXPECT_FALSE(parseJobsValue("+2"));
-  EXPECT_FALSE(parseJobsValue("2 "));
-  // Exceeds unsigned even though it fits in uint64_t.
-  EXPECT_FALSE(parseJobsValue("4294967296"));
-  EXPECT_FALSE(parseJobsValue("18446744073709551616"));
-}

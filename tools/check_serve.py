@@ -11,11 +11,12 @@ drives the ndjson protocol over TCP and enforces the daemon's contract:
   - a cold `verify` of each FILE returns byte-for-byte the combined
     stderr+stdout of the one-shot CLI (`BIN --jobs 1 FILE`), with the
     same exit code;
-  - a warm repeat is byte-identical, reports `program_cache_hit`, and
-    shows a nonzero spec-eval memo hit count for its request delta;
+  - a warm repeat is byte-identical, reports `program_cache_hit`, misses
+    the spec-eval memo nowhere, and hits it iff the cold request filled it
+    (specs proved unbounded memoize nothing);
   - `stats` has the documented shape and a nonzero warm hit rate;
-  - malformed JSON and unknown verbs get typed errors (the connection
-    survives both);
+  - malformed JSON, unknown verbs and wrong-typed fields get typed errors
+    (the connection survives each);
   - `shutdown` drains and the process exits 0.
 
 Exit 1 with a description on the first violated clause.
@@ -84,8 +85,12 @@ def check_verify(client, bin_path, path):
         fail(f"{path}: warm report differs from cold")
     if not warm.get("program_cache_hit"):
         fail(f"{path}: warm request missed the program cache")
-    if warm.get("cache", {}).get("hits", 0) == 0:
-        fail(f"{path}: warm request shows zero spec-eval memo hits")
+    memoized = cold.get("cache", {}).get("misses", 0) > 0
+    hits = warm.get("cache", {}).get("hits", 0)
+    misses = warm.get("cache", {}).get("misses", 0)
+    if (hits > 0) != memoized or misses != 0:
+        want = "> 0" if memoized else "0"
+        fail(f"{path}: warm memo hits/misses {hits}/{misses}, want {want}/0")
     print(
         f"check_serve: {path}: cold==cli, warm==cold, "
         f"{warm['cache']['hits']} warm memo hits"
@@ -123,6 +128,10 @@ def check_errors(client):
         fail(f"unknown verb: expected unknown-verb, got {resp!r}")
     if resp.get("id") != 7:
         fail("error response dropped the request id")
+    resp = client.rpc({"verb": "verify", "source": "x", "max_steps": "1"})
+    error = resp.get("error", {})
+    if error.get("type") != "bad-request" or "max_steps" not in error["message"]:
+        fail(f"wrong-typed max_steps: expected bad-request, got {resp!r}")
     print("check_serve: typed errors ok")
 
 
