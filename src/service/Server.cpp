@@ -9,10 +9,13 @@
 #include "service/Options.h"
 #include "support/trace/Metrics.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -49,6 +52,10 @@ struct Server::Connection {
 };
 
 namespace {
+
+/// How long `accept` waits before retrying when descriptors or memory have
+/// run out; closing connections free both.
+constexpr std::chrono::milliseconds AcceptRetryPause{10};
 
 JsonValue cacheJson(const CacheStats &C) {
   JsonValue O = JsonValue::object();
@@ -156,19 +163,17 @@ void Server::run() {
     T.join();
 
   // Now unblock and retire the reader threads (their clients have every
-  // response they are owed).
+  // response they are owed). Each reader releases itself on the EOF.
+  std::vector<std::thread> Done;
   {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (const std::shared_ptr<Connection> &C : Connections)
-      ::shutdown(C->Fd, SHUT_RDWR);
+    std::unique_lock<std::mutex> Lock(ConnMu);
+    for (const Reader &R : Readers)
+      ::shutdown(R.Conn->Fd, SHUT_RDWR);
+    ConnCv.wait(Lock, [&] { return Readers.empty(); });
+    Done.swap(Finished);
   }
-  for (std::thread &T : ReaderThreads)
+  for (std::thread &T : Done)
     T.join();
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    Connections.clear();
-    ReaderThreads.clear();
-  }
 }
 
 void Server::stop() {
@@ -185,19 +190,40 @@ void Server::acceptLoop() {
   while (!Stopping.load()) {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0) {
-      if (errno == EINTR)
+      if (Stopping.load())
+        break; // stop() shut the listening socket down
+      if (errno == EINTR || errno == ECONNABORTED)
         continue;
-      break; // listen socket shut down (stop()) or fatal
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        std::this_thread::sleep_for(AcceptRetryPause);
+        continue;
+      }
+      stop(); // drain and exit rather than keep a port nobody serves
+      break;
     }
     if (Stopping.load()) {
       ::close(Fd);
       break;
     }
+    // Each response is one complete line sent at once, so Nagle's
+    // algorithm could only hold it behind an earlier, unacknowledged one.
+    int One = 1;
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     auto Conn = std::make_shared<Connection>();
     Conn->Fd = Fd;
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    Connections.push_back(Conn);
-    ReaderThreads.emplace_back([this, Conn] { readerLoop(Conn); });
+    std::vector<std::thread> Done;
+    {
+      // Held across the thread's start, so the reader cannot release
+      // itself before its entry exists.
+      std::lock_guard<std::mutex> Lock(ConnMu);
+      Readers.push_back(Reader{Conn, std::thread([this, Conn] {
+                                 readerLoop(Conn);
+                               })});
+      Done.swap(Finished);
+    }
+    for (std::thread &T : Done)
+      T.join();
   }
 }
 
@@ -209,7 +235,7 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
     if (N < 0 && errno == EINTR)
       continue;
     if (N <= 0)
-      return; // client closed (or shutdown during stop)
+      break; // client closed (or shutdown during stop)
     Buffer.append(Chunk, static_cast<size_t>(N));
     size_t Start = 0;
     for (size_t NL; (NL = Buffer.find('\n', Start)) != std::string::npos;
@@ -222,6 +248,14 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
     }
     Buffer.erase(0, Start);
   }
+  // Release the connection. Only the entry goes: the descriptor closes with
+  // the last reference, which a queued response may still hold.
+  std::lock_guard<std::mutex> Lock(ConnMu);
+  auto It = std::find_if(Readers.begin(), Readers.end(),
+                         [&](const Reader &R) { return R.Conn == Conn; });
+  Finished.push_back(std::move(It->Thread));
+  Readers.erase(It);
+  ConnCv.notify_all();
 }
 
 void Server::serveLine(const std::shared_ptr<Connection> &ConnPtr,

@@ -36,6 +36,17 @@
 /// inline (never queued), so health checks and shutdown cannot be starved
 /// by a full queue.
 ///
+/// Connection lifecycle: every accepted socket sets `TCP_NODELAY` (each
+/// response is one complete line, so Nagle's algorithm has nothing to
+/// coalesce and would only hold a pipelined answer until the client's
+/// delayed ACK) and gets its own reader thread. When the client leaves, the
+/// reader drops the connection; its descriptor closes once the last queued
+/// response for it has been written, never earlier, so a reused descriptor
+/// number cannot carry a late response to another client. A failed
+/// `accept` retries (a client that gave up at once, and after a short pause
+/// when descriptors or memory run out) or, on any other error, stops the
+/// daemon so that it drains and exits rather than keeping an unserved port.
+///
 /// Shutdown (the `shutdown` verb, or `Server::stop` from a signal watcher)
 /// is graceful: stop accepting connections and queueing work, drain every
 /// in-flight request, answer it, then return from `run()` so the caller
@@ -110,6 +121,12 @@ private:
     ServiceRequest Request;
   };
 
+  /// An open connection and the thread reading it.
+  struct Reader {
+    std::shared_ptr<Connection> Conn;
+    std::thread Thread;
+  };
+
   void acceptLoop();
   void readerLoop(std::shared_ptr<Connection> Conn);
   void workerLoop();
@@ -133,8 +150,9 @@ private:
   size_t InFlight = 0; ///< items popped but not yet answered
 
   std::mutex ConnMu;
-  std::vector<std::shared_ptr<Connection>> Connections;
-  std::vector<std::thread> ReaderThreads;
+  std::condition_variable ConnCv;    ///< signalled as each reader leaves
+  std::vector<Reader> Readers;       ///< open connections
+  std::vector<std::thread> Finished; ///< readers that left, to be joined
 };
 
 } // namespace commcsl

@@ -11,23 +11,27 @@
 #include "support/trace/Trace.h"
 
 #include <cstdio>
+#include <optional>
 
 using namespace commcsl;
 
 namespace {
 
-/// Counts a service request in the process metrics registry. Request
+/// Counts a service request in the process metrics registry. \p CacheHit
+/// is set only for the verbs that consult the program cache, so the
+/// registry's hit and miss counters equal the `stats` verb's. Request
 /// arrival order depends on client scheduling, so everything here is
 /// Varies.
-void countRequest(const char *Verb, bool CacheHit) {
+void countRequest(const char *Verb, std::optional<bool> CacheHit) {
   MetricsRegistry &M = MetricsRegistry::global();
   M.counter("service.requests", Stability::Varies).add(1);
   M.counter(std::string("service.requests_") + Verb, Stability::Varies)
       .add(1);
-  M.counter(CacheHit ? "service.program_cache_hits"
-                     : "service.program_cache_misses",
-            Stability::Varies)
-      .add(1);
+  if (CacheHit)
+    M.counter(*CacheHit ? "service.program_cache_hits"
+                        : "service.program_cache_misses",
+              Stability::Varies)
+        .add(1);
 }
 
 std::string formatNIBlock(const NIReport &Report, int &Exit) {
@@ -243,7 +247,7 @@ ServiceResponse Session::validity(const ServiceRequest &Request) {
 
 ServiceResponse Session::analyze(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  countRequest("analyze", false);
+  countRequest("analyze", std::nullopt);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Requests;
@@ -288,7 +292,7 @@ ServiceResponse Session::ni(const ServiceRequest &Request) {
 
 ServiceResponse Session::fuzz(const ServiceRequest &Request) {
   ServiceResponse Resp;
-  countRequest("fuzz", false);
+  countRequest("fuzz", std::nullopt);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Requests;

@@ -27,9 +27,11 @@
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
+#include <memory>
 #include <netinet/in.h>
 #include <sstream>
 #include <string>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
@@ -72,10 +74,12 @@ std::string cliOutput(const std::string &Args) {
 }
 
 /// A forked `hyperviper serve` instance. The child's stdout arrives over a
-/// pipe so the test can read the ephemeral-port banner race-free.
+/// pipe so the test can read the ephemeral-port banner race-free. A nonzero
+/// \p MaxFds caps the daemon's descriptors (RLIMIT_NOFILE).
 class ServerProc {
 public:
-  explicit ServerProc(std::vector<std::string> ExtraArgs = {}) {
+  explicit ServerProc(std::vector<std::string> ExtraArgs = {},
+                      rlim_t MaxFds = 0) {
     int Fds[2];
     EXPECT_EQ(pipe(Fds), 0);
     Child = fork();
@@ -84,6 +88,11 @@ public:
       dup2(Fds[1], STDOUT_FILENO);
       close(Fds[0]);
       close(Fds[1]);
+      if (MaxFds) {
+        const rlimit Limit{MaxFds, MaxFds};
+        if (setrlimit(RLIMIT_NOFILE, &Limit) != 0)
+          _exit(126);
+      }
       std::vector<const char *> Argv = {COMMCSL_HYPERVIPER_BIN, "serve",
                                         "--port", "0"};
       for (const std::string &A : ExtraArgs)
@@ -178,6 +187,12 @@ public:
     std::string Line = Buffer.substr(0, NL);
     Buffer.erase(0, NL + 1);
     return Line;
+  }
+
+  /// Makes a blocked read give up after \p Seconds (recvLine returns "").
+  void setRecvTimeout(int Seconds) {
+    timeval TV{Seconds, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &TV, sizeof(TV));
   }
 
   /// One request/response round trip, parsed.
@@ -478,6 +493,27 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
     }
     EXPECT_EQ(R.getU64("id"), 4u);
   }
+}
+
+TEST(ServeTest, KeepsAcceptingAfterDescriptorsRunOut) {
+  // With 32 descriptors, 40 simultaneous clients exhaust the daemon's
+  // table. Once they close, their sockets must be released and accepting
+  // must resume: a failed accept is retried, never the end of the daemon.
+  ServerProc Server({}, 32);
+  {
+    std::vector<std::unique_ptr<Client>> Crowd;
+    for (int I = 0; I < 40; ++I)
+      Crowd.push_back(std::make_unique<Client>(Server.port()));
+    // Let the daemon accept until its descriptors run out.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  Client C(Server.port());
+  C.setRecvTimeout(10);
+  JsonValue Stats = C.rpc(R"({"id":1,"verb":"stats"})");
+  ASSERT_TRUE(Stats.getBool("ok")) << "no answer after descriptors ran out";
+  JsonValue R = C.rpc(R"({"id":2,"verb":"shutdown"})");
+  EXPECT_TRUE(R.getBool("ok"));
+  EXPECT_EQ(Server.wait(), 0);
 }
 
 TEST(ServeTest, ShutdownVerbDrainsAndExitsZero) {

@@ -18,6 +18,7 @@
 #include "cert/Cert.h"
 #include "cert/Check.h"
 #include "hyperviper/Analyze.h"
+#include "support/trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -209,6 +210,41 @@ TEST(SessionTest, AnalyzeVerbMatchesAnalyzeSourceBlock) {
   Expected.Files.push_back(analyzeSourceBlock(RejectedProgram, "an.hv"));
   EXPECT_EQ(Resp.Report, Expected.str());
   EXPECT_EQ(Resp.Exit, 0); // analyze reports, it does not gate
+}
+
+TEST(SessionTest, RegistryProgramCacheCountsMatchStats) {
+  // Only verify, validity and ni consult the program cache, so only they
+  // count a hit or a miss; analyze and fuzz count as requests alone.
+  MetricsRegistry &M = MetricsRegistry::global();
+  auto count = [&](const char *Name) {
+    return M.counter(Name, Stability::Varies).value();
+  };
+  const uint64_t Hits0 = count("service.program_cache_hits");
+  const uint64_t Misses0 = count("service.program_cache_misses");
+  const uint64_t Requests0 = count("service.requests");
+
+  Session S;
+  ServiceRequest A;
+  A.V = ServiceRequest::Verb::Analyze;
+  A.Source = VerifiedProgram;
+  A.Name = "an.hv";
+  S.handle(A);
+  ServiceRequest F;
+  F.V = ServiceRequest::Verb::Fuzz;
+  F.Fuzz.NumSeeds = 1;
+  F.Fuzz.Jobs = 1;
+  S.handle(F);
+  S.handle(verifyRequest(VerifiedProgram, "c.hv")); // miss
+  S.handle(verifyRequest(VerifiedProgram, "c.hv")); // hit
+
+  SessionStats Stats = S.stats();
+  EXPECT_EQ(Stats.ProgramCacheHits, 1u);
+  EXPECT_EQ(Stats.ProgramCacheMisses, 1u);
+  EXPECT_EQ(count("service.program_cache_hits") - Hits0,
+            Stats.ProgramCacheHits);
+  EXPECT_EQ(count("service.program_cache_misses") - Misses0,
+            Stats.ProgramCacheMisses);
+  EXPECT_EQ(count("service.requests") - Requests0, 4u);
 }
 
 TEST(SessionTest, NiVerbMatchesDriverEmpiricalBlock) {
