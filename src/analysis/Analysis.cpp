@@ -22,14 +22,13 @@ const char *commcsl::staticVerdictName(StaticVerdict V) {
   return "?";
 }
 
-ProgramStaticResult commcsl::analyzeProgram(const Program &Prog,
-                                            const TaintConfig &Config) {
+ProgramStaticResult commcsl::analyzeProgram(const Program &Prog) {
   ProgramStaticResult R;
   R.ProvablyLow = true;
   std::map<std::string, ProcTaintSummary> Summaries;
 
   for (const ProcDecl &Proc : Prog.Procs) {
-    ProcTaintResult T = analyzeProcTaint(Prog, Proc, Config, &Summaries);
+    ProcTaintResult T = analyzeProcTaint(Prog, Proc, &Summaries);
     Summaries[Proc.Name] = T.Summary;
 
     // Merge lints and taint sinks into one location-ordered stream.
@@ -56,7 +55,6 @@ ProgramStaticResult commcsl::analyzeProgram(const Program &Prog,
 
     ProcStaticResult PR;
     PR.Proc = Proc.Name;
-    PR.Eligible = T.Eligible;
     PR.Verdict = T.ProvablyLow && !AnyLint ? StaticVerdict::ProvablyLow
                                            : StaticVerdict::CandidateLeak;
     if (PR.Verdict != StaticVerdict::ProvablyLow)

@@ -8,10 +8,12 @@
 /// The combined static information-flow pre-analysis: per-procedure taint
 /// (analysis/Taint.h) plus the lint suite (analysis/Lint.h), producing one
 /// deterministic, location-ordered diagnostic stream and a per-procedure /
-/// whole-program verdict. `ProvablyLow` is the sound fast-path answer:
-/// every public sink is statically independent of high inputs, so the
-/// relational proof and the NI sweep cannot find a leak. Anything else is
-/// a `CandidateLeak` — a work item for the verifier, not a refutation.
+/// whole-program verdict. `ProvablyLow` is a sound static answer: every
+/// public sink is statically independent of high inputs, so the NI sweep
+/// cannot find a leak. Anything else is a `CandidateLeak` — a work item
+/// for the verifier, not a refutation. Neither is a verification verdict:
+/// the `analyze` verb reports them and the fuzz oracle cross-checks them,
+/// while a procedure is verified only by the relational proof.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +33,6 @@ const char *staticVerdictName(StaticVerdict V);
 struct ProcStaticResult {
   std::string Proc;
   StaticVerdict Verdict = StaticVerdict::CandidateLeak;
-  /// In VerifierApprox mode: the procedure is in the triage fragment.
-  bool Eligible = false;
 };
 
 /// Whole-program outcome.
@@ -54,10 +54,8 @@ struct ProgramStaticResult {
 };
 
 /// Analyzes every procedure of \p Prog in declaration order, threading
-/// summaries through call sites. Deterministic: depends only on \p Prog
-/// and \p Config.
-ProgramStaticResult analyzeProgram(const Program &Prog,
-                                   const TaintConfig &Config = TaintConfig());
+/// summaries through call sites. Deterministic: depends only on \p Prog.
+ProgramStaticResult analyzeProgram(const Program &Prog);
 
 } // namespace commcsl
 

@@ -80,6 +80,18 @@ bool exprHasDeclassify(const ExprRef &E) {
   return false;
 }
 
+/// The two-point lattice: low < high.
+constexpr unsigned High = 1;
+
+/// Levels assumed for a procedure's parameters and demanded of its returns.
+struct TaintLevels {
+  /// Parameters assumed low; every other parameter is high (an
+  /// uncontracted parameter is a potential secret).
+  std::set<std::string> LowParams;
+  /// Returns that must end low.
+  std::set<std::string> LowReturns;
+};
+
 using State = std::map<std::string, unsigned>;
 
 unsigned levelOf(const State &S, const std::string &V) {
@@ -125,25 +137,21 @@ struct TaintProblem {
   using State = ::State;
 
   const Program &Prog;
-  const TaintConfig &Cfg;
   const TaintLevels &Levels;
   const std::map<std::string, ProcTaintSummary> *Summaries;
   const std::map<std::string, std::string> &HandleSpecs;
   std::vector<unsigned> PC; // per node id
-
-  unsigned top() const { return Cfg.NumLevels - 1; }
 
   State bottom(const CFG &) const { return {}; }
 
   State boundary(const CFG &G) const {
     State S;
     for (const Param &P : G.proc().Params) {
-      auto It = Levels.ParamLevel.find(P.Name);
-      unsigned L = It == Levels.ParamLevel.end() ? top() : It->second;
-      setLevel(S, P.Name, L, /*Weak=*/false);
+      setLevel(S, P.Name, Levels.LowParams.count(P.Name) ? 0 : High,
+               /*Weak=*/false);
       // A resource handed in carries an unknown accumulated state.
       if (P.Ty && P.Ty->kind() == TypeKind::Resource)
-        setLevel(S, resKey(P.Name), top(), /*Weak=*/false);
+        setLevel(S, resKey(P.Name), High, /*Weak=*/false);
     }
     return S;
   }
@@ -168,7 +176,7 @@ struct TaintProblem {
     case ExprKind::Var: {
       unsigned L = levelOf(S, E->Name);
       if (crossTop(N, E->Name))
-        L = top();
+        L = High;
       return L;
     }
     case ExprKind::Builtin:
@@ -197,7 +205,7 @@ struct TaintProblem {
       std::string Key = resKey(N.Res);
       unsigned L = levelOf(In, Key);
       if (crossTop(N, Key))
-        L = top();
+        L = High;
       return L;
     }
     default:
@@ -219,31 +227,13 @@ struct TaintProblem {
     case CFGNodeKind::ParFork:
     case CFGNodeKind::AtomicEnter:
     case CFGNodeKind::AtomicExit:
-      return Out;
-
     case CFGNodeKind::LoopHead:
-      if (Cfg.VerifierApprox && N.Cmd) {
-        // The relational verifier enters the body knowing only the loop
-        // invariant: havoc every modified variable except those pinned by
-        // a bare `low(x)` invariant atom (their preservation is checked
-        // against the fixpoint state at the head).
-        std::vector<std::string> Mods;
-        N.Cmd->Children[0]->modifiedVars(Mods);
-        std::set<std::string> Pinned;
-        for (const Contract &Inv : N.Cmd->Invariants)
-          for (const ContractAtom &A : Inv)
-            if (const std::string *V = bareLowVar(A))
-              Pinned.insert(*V);
-        for (const std::string &V : Mods)
-          if (!Pinned.count(V))
-            setLevel(Out, V, top(), /*Weak=*/false);
-      }
       return Out;
 
     case CFGNodeKind::ParJoin:
       // Values written by two or more branches are schedule-dependent.
       for (const std::string &V : N.CrossParTop)
-        setLevel(Out, V, top(), /*Weak=*/true);
+        setLevel(Out, V, High, /*Weak=*/true);
       return Out;
 
     case CFGNodeKind::Stmt:
@@ -270,7 +260,7 @@ struct TaintProblem {
     case CmdKind::HeapRead: {
       unsigned L = levelOf(In, CFG::HeapVar);
       if (crossTop(N, CFG::HeapVar))
-        L = top();
+        L = High;
       L = std::max({L, exprLevel(C.Exprs[0], In, N), Pc});
       setLevel(Out, C.Var, L, Weak);
       break;
@@ -285,7 +275,7 @@ struct TaintProblem {
       // Addresses are allocation-order dependent: the count of prior
       // allocations is a function of every branch taken so far (and of the
       // schedule under par), which the pc rule does not capture. Top.
-      setLevel(Out, C.Var, top(), Weak);
+      setLevel(Out, C.Var, High, Weak);
       setLevel(Out, CFG::HeapVar,
                std::max(exprLevel(C.Exprs[0], In, N), Pc), /*Weak=*/true);
       break;
@@ -302,22 +292,22 @@ struct TaintProblem {
       // the paper recovers low(alpha(state)) only for *valid* specs, and
       // the concrete state underneath is schedule-dependent regardless.
       if (N.InPar)
-        setLevel(Out, Key, top(), /*Weak=*/true);
+        setLevel(Out, Key, High, /*Weak=*/true);
       // The action's return value is computed from the hidden pre-state;
       // only alpha(state) is governed by the contract, so it is top (this
       // matches the verifier's fresh-high-symbol rule).
       if (!C.Var.empty())
-        setLevel(Out, C.Var, top(), Weak);
+        setLevel(Out, C.Var, High, Weak);
       break;
     }
     case CmdKind::ResVal:
-      setLevel(Out, C.Var, top(), Weak);
+      setLevel(Out, C.Var, High, Weak);
       break;
     case CmdKind::Unshare: {
       std::string Key = resKey(C.Aux);
       unsigned L = levelOf(In, Key);
       if (crossTop(N, Key))
-        L = top();
+        L = High;
       setLevel(Out, C.Var, std::max(L, Pc), Weak);
       break;
     }
@@ -342,19 +332,19 @@ struct TaintProblem {
       // Ret target I receives callee return variable I's summarised exit
       // level (top when the summary's low-param assumptions are not met).
       for (size_t I = 0; I < C.Rets.size(); ++I) {
-        unsigned L = top();
+        unsigned L = High;
         if (AssumeOk && I < Callee->Returns.size()) {
           auto It = S->ReturnLevels.find(Callee->Returns[I].Name);
-          L = It == S->ReturnLevels.end() ? top() : It->second;
+          L = It == S->ReturnLevels.end() ? High : It->second;
         }
         setLevel(Out, C.Rets[I], std::max(L, Pc), Weak);
       }
       if (!S || S->WritesHeap)
-        setLevel(Out, CFG::HeapVar, top(), /*Weak=*/true);
+        setLevel(Out, CFG::HeapVar, High, /*Weak=*/true);
       if (!S || S->TouchesResources)
         for (const auto &[Handle, Spec] : HandleSpecs) {
           (void)Spec;
-          setLevel(Out, resKey(Handle), top(), /*Weak=*/true);
+          setLevel(Out, resKey(Handle), High, /*Weak=*/true);
         }
       break;
     }
@@ -389,17 +379,11 @@ std::map<std::string, std::string> handleSpecs(const ProcDecl &Proc) {
   return M;
 }
 
-std::string levelStr(unsigned L, unsigned NumLevels) {
-  if (NumLevels == 2)
-    return L == 0 ? "low" : "high";
-  return "level " + std::to_string(L);
-}
+std::string levelStr(unsigned L) { return L == 0 ? "low" : "high"; }
 
-} // namespace
-
-TaintLevels commcsl::taintLevelsFromContracts(const ProcDecl &Proc) {
+/// Derives the levels from a procedure's contracts (see analyzeProcTaint).
+TaintLevels taintLevelsFromContracts(const ProcDecl &Proc) {
   TaintLevels L;
-  L.NumLevels = 2;
   std::set<std::string> LowReq, LowEns;
   for (const ContractAtom &A : Proc.Requires) {
     if (const std::string *V = bareLowVar(A))
@@ -420,82 +404,35 @@ TaintLevels commcsl::taintLevelsFromContracts(const ProcDecl &Proc) {
         LowEns.insert(*CV);
   }
   for (const Param &P : Proc.Params)
-    L.ParamLevel[P.Name] = LowReq.count(P.Name) ? 0 : L.top();
+    if (LowReq.count(P.Name))
+      L.LowParams.insert(P.Name);
   for (const Param &R : Proc.Returns)
     if (LowEns.count(R.Name))
-      L.ReturnLevel[R.Name] = 0;
+      L.LowReturns.insert(R.Name);
   return L;
 }
 
-bool commcsl::triageEligible(const ProcDecl &Proc) {
-  for (const ContractAtom &A : Proc.Ensures)
-    if (!bareLowVar(A))
-      return false;
-  // Conditional requires atoms shrink the input relation, which triage's
-  // bare-fragment reasoning cannot exploit but also must not rely on; a
-  // declassify anywhere switches the property from plain non-interference
-  // to delimited release, which triage does not model.
-  for (const ContractAtom &A : Proc.Requires)
-    if (A.AtomKind == ContractAtom::Kind::Low && A.Cond)
-      return false;
-  std::function<bool(const Command &, bool)> Ok = [&](const Command &C,
-                                                      bool InLoop) -> bool {
-    for (const ExprRef &E : C.Exprs) {
-      if (exprHasDivMod(E)) // possible abort: outside the skip fragment
-        return false;
-      if (exprHasDeclassify(E))
-        return false;
-    }
-    switch (C.Kind) {
-    case CmdKind::Skip:
-    case CmdKind::Assign:
-      return true;
-    case CmdKind::VarDecl:
-      return !C.Exprs.empty(); // uninitialised decls are not modelled
-    case CmdKind::Output:
-      return !InLoop; // per-iteration output counts need loop reasoning
-    case CmdKind::Block:
-      for (const CommandRef &Child : C.Children)
-        if (!Child || !Ok(*Child, InLoop))
-          return false;
-      return true;
-    case CmdKind::If:
-      return Ok(*C.Children[0], InLoop) && Ok(*C.Children[1], InLoop);
-    case CmdKind::While:
-      for (const Contract &Inv : C.Invariants)
-        for (const ContractAtom &A : Inv)
-          if (!bareLowVar(A))
-            return false;
-      return Ok(*C.Children[0], /*InLoop=*/true);
-    default:
-      return false;
-    }
-  };
-  return !Proc.Body || Ok(*Proc.Body, /*InLoop=*/false);
-}
+} // namespace
 
 ProcTaintResult commcsl::analyzeProcTaint(
-    const Program &Prog, const ProcDecl &Proc, const TaintConfig &Config,
-    const std::map<std::string, ProcTaintSummary> *Summaries,
-    const TaintLevels &Levels) {
+    const Program &Prog, const ProcDecl &Proc,
+    const std::map<std::string, ProcTaintSummary> *Summaries) {
   ProcTaintResult R;
   R.Proc = Proc.Name;
-  R.Eligible = !Config.VerifierApprox || triageEligible(Proc);
 
   CFG G = CFG::build(Proc);
   std::map<std::string, std::string> Handles = handleSpecs(Proc);
+  const TaintLevels Levels = taintLevelsFromContracts(Proc);
 
-  TaintProblem P{Prog,    Config, Levels, Summaries,
-                 Handles, std::vector<unsigned>(G.size(), 0)};
-  const unsigned Top = P.top();
+  TaintProblem P{Prog, Levels, Summaries, Handles,
+                 std::vector<unsigned>(G.size(), 0)};
 
   // Outer pc fixpoint: solve with the current pc assignment, recompute
   // every node's pc from the governing conditions' levels, repeat until
-  // stable. Levels only grow, so this terminates within
-  // NumLevels * |nodes| rounds.
+  // stable. Levels only grow, so this terminates within 2 * |nodes|
+  // rounds.
   DataflowResult<TaintProblem> DF;
-  for (unsigned Round = 0; Round <= Config.NumLevels * G.size() + 1;
-       ++Round) {
+  for (unsigned Round = 0; Round <= 2 * G.size() + 1; ++Round) {
     DF = solveDataflow(G, P);
     std::vector<unsigned> Cond(G.size(), 0);
     for (unsigned I = 0; I < G.size(); ++I)
@@ -525,20 +462,6 @@ ProcTaintResult commcsl::analyzeProcTaint(
     const State &In = DF.In[Id];
     unsigned Pc = P.PC[Id];
 
-    if (Config.VerifierApprox && N.Kind == CFGNodeKind::LoopHead) {
-      if (P.condLevel(G, Id, In) > 0)
-        Report(N.Loc, "loop condition is not provably low");
-      std::set<std::string> Pinned;
-      for (const Contract &Inv : N.Cmd->Invariants)
-        for (const ContractAtom &A : Inv)
-          if (const std::string *V = bareLowVar(A))
-            Pinned.insert(*V);
-      for (const std::string &V : Pinned)
-        if (levelOf(In, V) > 0 || crossTop(N, V))
-          Report(N.Loc, "loop invariant low(" + V +
-                            ") does not hold at the loop head");
-    }
-
     if (N.Kind != CFGNodeKind::Stmt)
       continue;
     const Command &C = *N.Cmd;
@@ -550,12 +473,10 @@ ProcTaintResult commcsl::analyzeProcTaint(
         Report(C.Loc, "output inside par: emission order is "
                       "schedule-dependent");
       if (L > 0)
-        Report(C.Loc, "public output depends on " +
-                          levelStr(L, Config.NumLevels) + " data");
+        Report(C.Loc, "public output depends on " + levelStr(L) + " data");
       else if (Pc > 0)
-        Report(C.Loc, "public output under " +
-                          levelStr(Pc, Config.NumLevels) +
-                          " control flow");
+        Report(C.Loc,
+               "public output under " + levelStr(Pc) + " control flow");
       break;
     }
     case CmdKind::Perform: {
@@ -576,7 +497,7 @@ ProcTaintResult commcsl::analyzeProcTaint(
           if (L > 0)
             Report(C.Loc, "action '" + Act->Name +
                               "' requires a low argument but receives " +
-                              levelStr(L, Config.NumLevels) + " data");
+                              levelStr(L) + " data");
         }
       }
       break;
@@ -598,8 +519,8 @@ ProcTaintResult commcsl::analyzeProcTaint(
         Report(C.Loc, "call to procedure '" + C.Aux +
                           "' that is not statically secure");
       if (Pc > 0)
-        Report(C.Loc, "procedure call under " +
-                          levelStr(Pc, Config.NumLevels) + " control flow");
+        Report(C.Loc,
+               "procedure call under " + levelStr(Pc) + " control flow");
       for (size_t I = 0; I < Callee->Params.size() && I < C.Exprs.size();
            ++I)
         if (S->LowParams.count(Callee->Params[I].Name)) {
@@ -607,8 +528,7 @@ ProcTaintResult commcsl::analyzeProcTaint(
           if (L > 0)
             Report(C.Loc, "argument for low parameter '" +
                               Callee->Params[I].Name + "' of '" + C.Aux +
-                              "' has " + levelStr(L, Config.NumLevels) +
-                              " data");
+                              "' has " + levelStr(L) + " data");
         }
       break;
     }
@@ -622,18 +542,17 @@ ProcTaintResult commcsl::analyzeProcTaint(
   const State &ExitIn = DF.In[G.exit()];
   for (const Param &Ret : Proc.Returns)
     R.ReturnLevels[Ret.Name] = levelOf(ExitIn, Ret.Name);
-  for (const auto &[V, Want] : Levels.ReturnLevel)
-    if (Want == 0 && levelOf(ExitIn, V) > 0)
+  for (const std::string &V : Levels.LowReturns)
+    if (levelOf(ExitIn, V) > 0)
       Report(Proc.Loc, "return '" + V + "' must be low but has " +
-                           levelStr(levelOf(ExitIn, V), Config.NumLevels) +
-                           " data at exit");
+                           levelStr(levelOf(ExitIn, V)) + " data at exit");
   for (const ContractAtom &A : Proc.Ensures) {
     if (bareLowVar(A))
       continue;
     if (const std::string *V = condLowVar(A)) {
       std::optional<bool> G = closedGuardValue(A.Cond);
       if (G == std::optional<bool>(true))
-        continue; // enforced via Levels.ReturnLevel above
+        continue; // enforced via Levels.LowReturns above
       if (G == std::optional<bool>(false))
         continue; // vacuous: classifies nothing
       Report(A.Loc.isValid() ? A.Loc : Proc.Loc,
@@ -679,12 +598,10 @@ ProcTaintResult commcsl::analyzeProcTaint(
                              }),
                  Findings.end());
   R.Findings = std::move(Findings);
-  R.ProvablyLow = R.Eligible && R.Findings.empty();
+  R.ProvablyLow = R.Findings.empty();
 
   // Summary for later call sites.
-  for (const auto &[V, L] : Levels.ParamLevel)
-    if (L == 0)
-      R.Summary.LowParams.insert(V);
+  R.Summary.LowParams = Levels.LowParams;
   R.Summary.ReturnLevels = R.ReturnLevels;
   R.Summary.Secure = R.ProvablyLow;
   for (const CFGNode &N : G.nodes()) {
@@ -711,16 +628,5 @@ ProcTaintResult commcsl::analyzeProcTaint(
     if (N.Kind == CFGNodeKind::AtomicEnter)
       R.Summary.TouchesResources = true;
   }
-  (void)Top;
   return R;
-}
-
-ProcTaintResult
-commcsl::analyzeProcTaint(const Program &Prog, const ProcDecl &Proc,
-                          const TaintConfig &Config,
-                          const std::map<std::string, ProcTaintSummary>
-                              *Summaries) {
-  TaintLevels Levels = taintLevelsFromContracts(Proc);
-  Levels.NumLevels = Config.NumLevels;
-  return analyzeProcTaint(Prog, Proc, Config, Summaries, Levels);
 }

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A flow-sensitive taint analysis over security levels in the style of
-/// VERONICA's dependency tracking: every variable carries a level from a
-/// totally ordered lattice 0 < 1 < ... < N-1 (0 = public), expression levels
-/// are joins of their free variables, and implicit flows are captured by a
+/// VERONICA's dependency tracking: every variable carries a level from the
+/// two-point lattice low (0) < high (1), expression levels are joins of
+/// their free variables, and implicit flows are captured by a
 /// program-counter level derived from the conditions a node is
 /// control-dependent on. Shared resources are handled conservatively
 /// through their spec's alpha abstraction: only `alpha(state)` is governed
@@ -24,12 +24,8 @@
 /// model (public outputs + low-contracted returns): `ProvablyLow` means no
 /// high input can influence any public sink. It makes no completeness
 /// claim; anything it cannot prove is a `CandidateLeak` for the verifier.
-///
-/// `VerifierApprox` mode strengthens the transfer functions to
-/// under-approximate the relational verifier (loop heads havoc modified
-/// variables except those pinned low by an invariant), so that
-/// "strict-provable on the triage fragment" implies the verifier accepts —
-/// the soundness condition of the `--triage` fast path.
+/// It never replaces the relational proof: `ProvablyLow` feeds the
+/// `analyze` report and the fuzz oracle, not a verdict.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,27 +42,6 @@
 
 namespace commcsl {
 
-/// Security levels assumed for a procedure's parameters and demanded of its
-/// returns. Structurally mirrors `hyperviper::LatticeLevels` but lives here
-/// so the analysis layer does not depend on the driver layer.
-struct TaintLevels {
-  /// Level of every parameter (missing = top: an uncontracted parameter is
-  /// a potential secret).
-  std::map<std::string, unsigned> ParamLevel;
-  /// Returns that must end at the given level (only level 0 demands are
-  /// statically checkable; others are recorded but not enforced).
-  std::map<std::string, unsigned> ReturnLevel;
-  unsigned NumLevels = 2;
-
-  unsigned top() const { return NumLevels - 1; }
-};
-
-/// Derives the default two-point levels from a procedure's contracts, with
-/// the same convention as the NI harness: a parameter or return is low iff
-/// the contract contains a bare `low(x)` atom for it (no condition, plain
-/// variable); everything else is high.
-TaintLevels taintLevelsFromContracts(const ProcDecl &Proc);
-
 /// One sink violation or proof obstacle, with a location for reporting.
 struct TaintFinding {
   SourceLoc Loc;
@@ -77,7 +52,7 @@ struct TaintFinding {
 /// Procedures are summarised in declaration order; calls to procedures
 /// without a summary (forward references, recursion) are fully havocked.
 struct ProcTaintSummary {
-  /// Parameters the procedure's own analysis assumed to be level 0.
+  /// Parameters the procedure's own analysis assumed to be low.
   std::set<std::string> LowParams;
   /// Exit level of every return variable under those assumptions.
   std::map<std::string, unsigned> ReturnLevels;
@@ -90,21 +65,11 @@ struct ProcTaintSummary {
   bool TouchesResources = false;
 };
 
-struct TaintConfig {
-  /// Strict verifier-approximation mode used by `--triage` (see \file).
-  bool VerifierApprox = false;
-  unsigned NumLevels = 2;
-};
-
 /// Result of analyzing a single procedure.
 struct ProcTaintResult {
   std::string Proc;
-  /// The procedure is in the syntactic triage fragment (only meaningful in
-  /// VerifierApprox mode; always true otherwise).
-  bool Eligible = true;
   /// No high flow reaches any public sink, and every bare-low ensures atom
-  /// holds at exit. In VerifierApprox mode this additionally implies the
-  /// relational verifier accepts the procedure.
+  /// holds at exit.
   bool ProvablyLow = false;
   /// Sink violations / proof obstacles, ordered by source location.
   std::vector<TaintFinding> Findings;
@@ -115,25 +80,15 @@ struct ProcTaintResult {
 };
 
 /// Analyzes \p Proc within \p Prog. \p Summaries maps already-analyzed
-/// procedure names to their summaries (may be null).
+/// procedure names to their summaries (may be null). Levels come from the
+/// contracts, with the same convention as the NI harness: a parameter or
+/// return is low iff the contract contains a bare `low(x)` atom for it (no
+/// condition, plain variable), or a level guard that folds to true;
+/// everything else is high.
 ProcTaintResult
 analyzeProcTaint(const Program &Prog, const ProcDecl &Proc,
-                 const TaintConfig &Config,
-                 const std::map<std::string, ProcTaintSummary> *Summaries,
-                 const TaintLevels &Levels);
-
-/// Convenience overload: levels derived from the contracts.
-ProcTaintResult
-analyzeProcTaint(const Program &Prog, const ProcDecl &Proc,
-                 const TaintConfig &Config = TaintConfig(),
                  const std::map<std::string, ProcTaintSummary> *Summaries =
                      nullptr);
-
-/// True iff \p Proc lies in the syntactic fragment the `--triage` fast path
-/// may skip: body built only from skip / var / assign / block / if / while /
-/// output, every loop invariant a bare `low(x)` atom, no `output` inside a
-/// loop, and every ensures atom a bare `low(x)`.
-bool triageEligible(const ProcDecl &Proc);
 
 } // namespace commcsl
 

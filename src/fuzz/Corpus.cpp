@@ -113,16 +113,25 @@ std::string commcsl::corpusFileName(const CampaignFinding &Finding) {
   return OS.str();
 }
 
-std::vector<std::string> commcsl::writeCorpusFiles(
-    const CampaignReport &Report, const std::string &Dir) {
-  std::filesystem::create_directories(Dir);
-  std::vector<std::string> Paths;
+CorpusWriteResult commcsl::writeCorpusFiles(const CampaignReport &Report,
+                                            const std::string &Dir) {
+  CorpusWriteResult R;
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC) {
+    R.Unwritten = Dir;
+    return R;
+  }
   for (const CampaignFinding &F : Report.Findings) {
-    std::filesystem::path P =
-        std::filesystem::path(Dir) / corpusFileName(F);
+    std::string P = (std::filesystem::path(Dir) / corpusFileName(F)).string();
     std::ofstream Out(P);
     Out << renderCorpusEntry(F, Report.Config.Oracle.Inject);
-    Paths.push_back(P.string());
+    Out.close();
+    if (!Out) {
+      R.Unwritten = P;
+      return R;
+    }
+    R.Paths.push_back(std::move(P));
   }
-  return Paths;
+  return R;
 }

@@ -49,10 +49,18 @@ std::optional<CorpusEntry> parseCorpusEntry(const std::string &Content);
 /// Deterministic file name for a finding: `<class>-seed<index>.hv`.
 std::string corpusFileName(const CampaignFinding &Finding);
 
+/// What writeCorpusFiles did.
+struct CorpusWriteResult {
+  std::vector<std::string> Paths; ///< files written, in finding order
+  /// The directory or file that could not be created or written (writing
+  /// stops there); empty when every file was written.
+  std::string Unwritten;
+};
+
 /// Writes every finding of \p Report into directory \p Dir (created if
-/// missing). Returns the paths written.
-std::vector<std::string> writeCorpusFiles(const CampaignReport &Report,
-                                          const std::string &Dir);
+/// missing).
+CorpusWriteResult writeCorpusFiles(const CampaignReport &Report,
+                                   const std::string &Dir);
 
 } // namespace commcsl
 

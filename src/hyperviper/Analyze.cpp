@@ -175,8 +175,14 @@ AnalyzeResult commcsl::runAnalyze(const std::vector<std::string> &Inputs,
   // without rerunning `analyze --write` cannot pass CI silently.
   if (Options.Write) {
     for (const AnalyzeFileResult &F : R.Files) {
-      std::ofstream Out(F.Path + ".analysis");
+      const std::string Sidecar = F.Path + ".analysis";
+      std::ofstream Out(Sidecar);
       Out << F.Block;
+      Out.close();
+      if (!Out) {
+        R.UnwrittenSidecar = Sidecar;
+        break;
+      }
     }
   }
   if (Options.Check) {

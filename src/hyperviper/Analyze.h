@@ -66,6 +66,9 @@ struct AnalyzeFileResult {
 struct AnalyzeResult {
   std::vector<AnalyzeFileResult> Files;
   bool Ok = true; ///< Check mode: every sidecar matched
+  /// Write mode: the sidecar that could not be written (writing stops
+  /// there); empty when every sidecar was written.
+  std::string UnwrittenSidecar;
 
   /// Deterministic human-readable report (one block per file, prefixed
   /// with its display path).

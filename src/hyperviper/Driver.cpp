@@ -6,7 +6,6 @@
 
 #include "hyperviper/Driver.h"
 
-#include "analysis/Taint.h"
 #include "cert/Cert.h"
 #include "lang/TypeChecker.h"
 #include "parser/Parser.h"
@@ -37,11 +36,9 @@ void flushDriverMetrics(const DriverResult &R) {
   M.counter("driver.annotation_lines").add(R.Metrics.AnnotationLines);
   M.counter("driver.specs_checked").add(R.Verification.NumSpecsChecked);
   M.counter("driver.procs_verified").add(R.Verification.Procs.size());
-  M.counter("driver.triage_skipped").add(R.TriageSkipped);
   M.gauge("driver.parse_seconds").add(R.ParseSeconds);
   M.gauge("driver.validity_seconds").add(R.ValiditySeconds);
   M.gauge("driver.verify_seconds").add(R.VerifySeconds);
-  M.gauge("driver.analysis_seconds").add(R.AnalysisSeconds);
   M.gauge("driver.validity_cpu_seconds").add(R.ValidityCpuSeconds);
   M.gauge("driver.verify_cpu_seconds").add(R.VerifyCpuSeconds);
   // Hit/miss splits vary with worker interleaving (two workers may race
@@ -157,9 +154,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
     VC.Validity.Jobs = Options.Jobs;
   unsigned Jobs = ThreadPool::effectiveJobs(Options.Jobs);
   const bool EmitCert = VC.EmitCert || VC.ForgeAcceptAll;
-  // A certificate covers every procedure, so the triage fast path (which
-  // skips relational proofs, hence records no derivations) is disabled.
-  const bool Triage = Options.Triage && !EmitCert;
 
   // Phase: spec validity. Resource specifications are independent of each
   // other, so they are checked concurrently; each task collects its
@@ -218,7 +212,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
       ProcVerdict Verdict;
       DiagnosticEngine Diags;
       double Seconds = 0;
-      double AnalysisSeconds = 0;
     };
     std::vector<ProcOutcome> Outcomes(R.Prog->Procs.size());
     ThreadPool::shared().parallelForChunks(
@@ -228,24 +221,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
             const ProcDecl &Proc = R.Prog->Procs[I];
             TraceSpan Span("verify",
                            [&] { return "proc " + Proc.Name; });
-            if (Triage) {
-              // Fast path: a strict (verifier-approximating) taint proof
-              // subsumes the relational proof on the triage fragment.
-              TraceSpan TriageSpan("verify", "triage");
-              Stopwatch A0;
-              TaintConfig TC;
-              TC.VerifierApprox = true;
-              ProcTaintResult T =
-                  analyzeProcTaint(*R.Prog, Proc, TC, nullptr);
-              Outcomes[I].AnalysisSeconds = A0.seconds();
-              if (T.Eligible && T.ProvablyLow) {
-                Outcomes[I].Verdict.Proc = Proc.Name;
-                Outcomes[I].Verdict.Ok = true;
-                Outcomes[I].Verdict.SkippedByTriage = true;
-                traceInstant("verify", "triage-skip", Proc.Name);
-                continue;
-              }
-            }
             Stopwatch P0;
             Verifier ProcV(*R.Prog, Outcomes[I].Diags, VC);
             Outcomes[I].Verdict = ProcV.verifyProc(Proc);
@@ -256,8 +231,6 @@ DriverResult Driver::verifyParsed(const ParsedUnit &Unit) {
       ProcsOk &= Out.Verdict.Ok;
       R.Diags.append(Out.Diags);
       R.VerifyCpuSeconds += Out.Seconds;
-      R.AnalysisSeconds += Out.AnalysisSeconds;
-      R.TriageSkipped += Out.Verdict.SkippedByTriage ? 1 : 0;
       R.Verification.Procs.push_back(std::move(Out.Verdict));
     }
   }

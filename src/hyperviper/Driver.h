@@ -69,10 +69,6 @@ struct DriverResult {
   double ParseSeconds = 0;
   double ValiditySeconds = 0;
   double VerifySeconds = 0;
-  /// Aggregate seconds spent in the static triage analysis (--triage).
-  double AnalysisSeconds = 0;
-  /// Procedures whose relational proof the triage fast path skipped.
-  unsigned TriageSkipped = 0;
   // Aggregate worker seconds for the parallelized phases (>= the wall
   // number when several specs/procedures verify concurrently).
   double ValidityCpuSeconds = 0;
@@ -91,12 +87,6 @@ struct DriverOptions {
   /// sequential behaviour. Verdicts, diagnostics order, counterexamples,
   /// and NI reports are identical at every setting.
   unsigned Jobs = 0;
-  /// Static fast path: before verifying a procedure, run the taint
-  /// analysis in verifier-approximation mode and skip the relational
-  /// proof when it is strict-provably-low (ProcVerdict::SkippedByTriage;
-  /// counted in DriverResult::TriageSkipped). Verdicts are identical to
-  /// the full pipeline by the strict mode's soundness contract.
-  bool Triage = false;
   /// Optional shared per-spec memo-cache registry, forwarded to the
   /// verifier (validity phase) and the NI harness so evaluations stay warm
   /// across Driver runs over the same Program. Null (the one-shot CLI

@@ -189,15 +189,13 @@ std::vector<Option> commcsl::verbOptions(const std::string &Verb,
         flag("--no-validity", "no_validity", R.NoValidity,
              "skip resource-spec validity checking (Def. 3.1)"),
         jobs(R.Jobs),
-        flag("--triage", "triage", R.Triage,
-             "skip the relational proof where the taint analysis proves low"),
         flag("--metrics", nullptr, A.PrintMetrics,
              "print Table-1-style metrics (LOC, Ann., time) and memo counters"),
         flag("--quiet", nullptr, A.Quiet, "only print the verdict lines"),
         text("--ni", "proc", R.Proc, "PROC",
              "also run the empirical non-interference harness on PROC"),
         text("--emit-cert", nullptr, A.CertPath, "FILE",
-             "write a proof certificate ('-' = stdout); one input, no triage"),
+             "write a proof certificate ('-' = stdout); one input"),
         flag(nullptr, "emit_cert", R.EmitCert, ""),
         text("--inject", nullptr, A.Inject, nullptr,
              "seeded fault that check-cert must refute (testing only)",
@@ -260,8 +258,6 @@ std::vector<Option> commcsl::verbOptions(const std::string &Verb,
         integer("--port", nullptr, A.Port,
                 "TCP port on 127.0.0.1; 0 binds an ephemeral one", 0, 65535),
         jobs(A.Session.Jobs),
-        flag("--triage", nullptr, A.Session.Triage,
-             "triage every verify request (see hyperviper --help)"),
         integer("--workers", nullptr, A.Workers, "requests in flight", 1,
                 256),
         integer("--max-queue", nullptr, A.MaxQueue,

@@ -150,7 +150,6 @@ Session::driverOptions(const ServiceRequest &Request,
                        const std::shared_ptr<CachedProgram> &P) const {
   DriverOptions O;
   O.Jobs = Request.Jobs != 0 ? Request.Jobs : Options.Jobs;
-  O.Triage = Request.Triage || Options.Triage;
   O.Verifier.SkipValidityCheck = Request.NoValidity;
   O.Verifier.EmitCert = Request.EmitCert;
   O.SpecCaches = P->SpecCaches;

@@ -49,8 +49,6 @@ struct SessionOptions {
   /// Default worker threads per request (0 = hardware concurrency); a
   /// request's own Jobs field overrides it.
   unsigned Jobs = 0;
-  /// Verifier triage fast path for verify requests.
-  bool Triage = false;
   /// Parsed programs kept warm (LRU beyond this; 0 keeps none). Evicting a
   /// program also drops its spec memo caches.
   size_t MaxCachedPrograms = 32;
@@ -74,13 +72,11 @@ struct ServiceRequest {
   std::string Name = "<request>"; ///< labels diagnostics, like a CLI path
   std::string Proc;     ///< NI (and Verify-with-NI): procedure to sweep
   unsigned Jobs = 0;    ///< 0 = session default
-  bool Triage = false;  ///< verify: static fast path
   bool NoValidity = false; ///< verify: skip Def. 3.1 checking
   /// Verify: emit a checkable proof certificate (cert/Cert.h) into the
-  /// response. Forces the full pipeline (triage is disabled so every
-  /// obligation is actually discharged and recorded). The warm-cache
-  /// contract extends to certificates: a resubmitted source returns a
-  /// byte-identical certificate, cold or warm, at any Jobs.
+  /// response. The warm-cache contract extends to certificates: a
+  /// resubmitted source returns a byte-identical certificate, cold or
+  /// warm, at any Jobs.
   bool EmitCert = false;
   /// Wall-clock budget in milliseconds for the request's validity tiers
   /// (verify and validity verbs). 0 = unlimited. When it fires the request

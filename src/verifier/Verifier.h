@@ -77,9 +77,6 @@ struct ProcVerdict {
   std::string Proc;
   bool Ok = false;
   unsigned NumObligations = 0; ///< discharged proof obligations
-  /// True when the driver's `--triage` fast path proved the procedure
-  /// statically (no relational proof was run).
-  bool SkippedByTriage = false;
   /// Certificate unit for this procedure (set when EmitCert).
   std::optional<cert::CertProcUnit> CertUnit;
 };

@@ -1,4 +1,4 @@
-//===-- tests/analysis/AnalyzeTest.cpp - analyze verb & triage tests -------===//
+//===-- tests/analysis/AnalyzeTest.cpp - analyze verb tests ---------------===//
 //
 // Part of the CommCSL-C++ project.
 //
@@ -12,21 +12,14 @@
 ///    (`<file>.analysis`), clean files included, the same contract CI
 ///    enforces with `hyperviper analyze --check`;
 ///  * determinism — the analyze report is byte-identical at every job
-///    count;
-///  * triage — `--triage` produces the same verdict as the full pipeline
-///    on every example while skipping at least one relational proof
-///    somewhere in the corpus (the fast path must both be sound and
-///    actually fire).
+///    count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "hyperviper/Analyze.h"
 
-#include "hyperviper/Driver.h"
-
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -36,16 +29,6 @@ namespace {
 
 std::string examplesDir() {
   return std::filesystem::path(COMMCSL_EXAMPLES_DIR).string();
-}
-
-std::vector<std::string> exampleFiles() {
-  std::vector<std::string> Files;
-  for (const auto &DE :
-       std::filesystem::recursive_directory_iterator(examplesDir()))
-    if (DE.is_regular_file() && DE.path().extension() == ".hv")
-      Files.push_back(DE.path().string());
-  std::sort(Files.begin(), Files.end());
-  return Files;
 }
 
 } // namespace
@@ -113,61 +96,4 @@ TEST(AnalyzeTest, ParseErrorProducesParseErrorBlock) {
       analyzeSourceBlock("procedure main( {", "bad.hv");
   EXPECT_EQ(F.Verdict, "parse-error");
   EXPECT_EQ(F.Block.rfind("verdict: parse-error\n", 0), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Triage fast path
-//===----------------------------------------------------------------------===//
-
-TEST(TriageTest, VerdictsIdenticalToFullPipelineAcrossCorpus) {
-  unsigned TotalSkipped = 0;
-  for (const std::string &Path : exampleFiles()) {
-    Driver Full{DriverOptions{}};
-    DriverResult FR = Full.verifyFile(Path);
-
-    DriverOptions TO;
-    TO.Triage = true;
-    Driver Triaged(TO);
-    DriverResult TR = Triaged.verifyFile(Path);
-
-    EXPECT_EQ(FR.ParseOk, TR.ParseOk) << Path;
-    EXPECT_EQ(FR.Verified, TR.Verified)
-        << Path << ": --triage changed the verdict";
-    // Per-procedure verdicts agree too (the skip must be invisible).
-    ASSERT_EQ(FR.Verification.Procs.size(), TR.Verification.Procs.size())
-        << Path;
-    for (size_t I = 0; I < FR.Verification.Procs.size(); ++I) {
-      EXPECT_EQ(FR.Verification.Procs[I].Proc, TR.Verification.Procs[I].Proc);
-      EXPECT_EQ(FR.Verification.Procs[I].Ok, TR.Verification.Procs[I].Ok)
-          << Path << " proc " << FR.Verification.Procs[I].Proc;
-    }
-    TotalSkipped += TR.TriageSkipped;
-    // The full pipeline never reports a skip.
-    EXPECT_EQ(FR.TriageSkipped, 0u);
-  }
-  // The fast path must actually fire somewhere in the corpus.
-  EXPECT_GE(TotalSkipped, 1u);
-}
-
-TEST(TriageTest, SkippedProcIsMarked) {
-  DriverOptions TO;
-  TO.Triage = true;
-  Driver D(TO);
-  DriverResult R =
-      D.verifyFile(examplesDir() + "/public_stats.hv");
-  ASSERT_TRUE(R.ParseOk);
-  EXPECT_TRUE(R.Verified);
-  ASSERT_EQ(R.Verification.Procs.size(), 1u);
-  EXPECT_TRUE(R.Verification.Procs[0].SkippedByTriage);
-  EXPECT_EQ(R.TriageSkipped, 1u);
-}
-
-TEST(TriageTest, TriageOffLeavesVerdictsUnmarked) {
-  Driver D{DriverOptions{}};
-  DriverResult R = D.verifyFile(examplesDir() + "/public_stats.hv");
-  ASSERT_TRUE(R.ParseOk);
-  EXPECT_TRUE(R.Verified);
-  ASSERT_EQ(R.Verification.Procs.size(), 1u);
-  EXPECT_FALSE(R.Verification.Procs[0].SkippedByTriage);
-  EXPECT_EQ(R.TriageSkipped, 0u);
 }

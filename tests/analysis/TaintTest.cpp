@@ -7,8 +7,8 @@
 /// \file
 /// Behavioural tests for the flow-sensitive taint analysis: explicit flows,
 /// implicit (pc) flows, scheduling channels introduced by `par`, the
-/// conservative resource rules, interprocedural summaries, and the triage
-/// fragment / verifier-approximation contract.
+/// conservative resource rules, interprocedural summaries, and static
+/// level guards and declassify.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,14 +23,12 @@ using namespace commcsl::test;
 
 namespace {
 
-ProcTaintResult analyze(const std::string &Source, bool Strict = false,
+ProcTaintResult analyze(const std::string &Source,
                         const std::string &ProcName = "main") {
   Program P = parseChecked(Source);
   const ProcDecl *Proc = P.findProc(ProcName);
   EXPECT_NE(Proc, nullptr);
-  TaintConfig TC;
-  TC.VerifierApprox = Strict;
-  return analyzeProcTaint(P, *Proc, TC, nullptr);
+  return analyzeProcTaint(P, *Proc);
 }
 
 } // namespace
@@ -223,19 +221,18 @@ TEST(TaintTest, InterproceduralSummaryPropagates) {
                     "  out := call double(l);\n"
                     "}\n";
   Program P = parseChecked(Src);
-  TaintConfig TC;
   std::map<std::string, ProcTaintSummary> Summaries;
   ProcTaintResult Callee =
-      analyzeProcTaint(P, *P.findProc("double"), TC, &Summaries);
+      analyzeProcTaint(P, *P.findProc("double"), &Summaries);
   ASSERT_TRUE(Callee.ProvablyLow);
   Summaries["double"] = Callee.Summary;
   ProcTaintResult Caller =
-      analyzeProcTaint(P, *P.findProc("main"), TC, &Summaries);
+      analyzeProcTaint(P, *P.findProc("main"), &Summaries);
   EXPECT_TRUE(Caller.ProvablyLow) << (Caller.Findings.empty()
                                           ? ""
                                           : Caller.Findings.front().Message);
   // Without the summary the same call havocs the result.
-  ProcTaintResult Blind = analyzeProcTaint(P, *P.findProc("main"), TC, nullptr);
+  ProcTaintResult Blind = analyzeProcTaint(P, *P.findProc("main"), nullptr);
   EXPECT_FALSE(Blind.ProvablyLow);
 }
 
@@ -255,40 +252,8 @@ TEST(TaintTest, FindingsAreLocationOrdered) {
 }
 
 //===----------------------------------------------------------------------===//
-// Triage fragment and verifier-approximation mode
+// Level guards, declassify and loops
 //===----------------------------------------------------------------------===//
-
-TEST(TaintTest, TriageFragmentAcceptsSimpleSequentialCode) {
-  Program P = parseChecked("procedure main(l: int) returns (out: int)\n"
-                           "  requires low(l)\n"
-                           "  ensures low(out)\n"
-                           "{\n"
-                           "  var i: int := 0;\n"
-                           "  while (i < l) invariant low(i) { i := i + 1; }\n"
-                           "  out := i;\n"
-                           "  output out;\n"
-                           "}\n");
-  EXPECT_TRUE(triageEligible(*P.findProc("main")));
-}
-
-TEST(TaintTest, TriageFragmentExcludesConcurrencyAndDiv) {
-  Program Par = parseChecked("procedure main(l: int) returns (out: int)\n"
-                             "  requires low(l)\n"
-                             "  ensures low(out)\n"
-                             "{\n"
-                             "  var a: int := 0;\n"
-                             "  par { a := l; } and { out := 1; }\n"
-                             "}\n");
-  EXPECT_FALSE(triageEligible(*Par.findProc("main")));
-
-  Program Div = parseChecked("procedure main(l: int) returns (out: int)\n"
-                             "  requires low(l)\n"
-                             "  ensures low(out)\n"
-                             "{\n"
-                             "  out := l / 2;\n"
-                             "}\n");
-  EXPECT_FALSE(triageEligible(*Div.findProc("main")));
-}
 
 TEST(TaintTest, ClosedTrueLevelGuardReadsAsLow) {
   // A level guard with no free variables folds statically: `1 > 0` is
@@ -319,9 +284,8 @@ TEST(TaintTest, ClosedFalseLevelGuardReadsAsHigh) {
 
 TEST(TaintTest, OpenLevelGuardJoinsToHighWithExplanation) {
   // The guard depends on an input, so the static fragment cannot decide
-  // it: the parameter is top, the conditional ensures atom is flagged as
-  // beyond the fragment (the relational verifier owns it), and the
-  // procedure is not triage-eligible.
+  // it: the parameter is top and the conditional ensures atom is flagged
+  // as beyond the fragment (the relational verifier owns it).
   const char *Src =
       "procedure main(l: int, c: int) returns (out: int)\n"
       "  requires low(l)\n"
@@ -337,14 +301,12 @@ TEST(TaintTest, OpenLevelGuardJoinsToHighWithExplanation) {
     if (F.Message.find("not statically decidable") != std::string::npos)
       Explained = true;
   EXPECT_TRUE(Explained);
-  Program P = parseChecked(Src);
-  EXPECT_FALSE(triageEligible(*P.findProc("main")));
 }
 
 TEST(TaintTest, DeclassifyIsAnExplicitLintedSink) {
   // declassify() launders the level (its result is statically low) but
   // every release site is linted: the program is secure only under
-  // delimited release, which the triage fast path must never certify.
+  // delimited release, never under plain non-interference.
   const char *Src = "procedure main(h: int) returns (out: int)\n"
                     "  ensures low(out)\n"
                     "{\n"
@@ -357,14 +319,11 @@ TEST(TaintTest, DeclassifyIsAnExplicitLintedSink) {
     if (F.Message.find("declassify release") != std::string::npos)
       Linted = true;
   EXPECT_TRUE(Linted);
-  Program P = parseChecked(Src);
-  EXPECT_FALSE(triageEligible(*P.findProc("main")));
 }
 
-TEST(TaintTest, StrictModeHavocsLoopTargetsWithoutInvariant) {
-  // The loop pins nothing low, so in VerifierApprox mode `x` is havocked at
-  // the head and the procedure is not strictly provable — even though the
-  // permissive analysis can see x stays low.
+TEST(TaintTest, LoopTargetsWithoutInvariantStayPrecise) {
+  // The loop pins nothing low, yet the analysis follows `x` through the
+  // loop fixpoint and sees it stays low.
   const char *Src = "procedure main(l: int) returns (out: int)\n"
                     "  requires low(l)\n"
                     "  ensures low(out)\n"
@@ -374,27 +333,5 @@ TEST(TaintTest, StrictModeHavocsLoopTargetsWithoutInvariant) {
                     "  while (i < l) invariant low(i) { x := x + 1; i := i + 1; }\n"
                     "  out := x;\n"
                     "}\n";
-  ProcTaintResult Permissive = analyze(Src, /*Strict=*/false);
-  EXPECT_TRUE(Permissive.ProvablyLow);
-  ProcTaintResult Strict = analyze(Src, /*Strict=*/true);
-  EXPECT_TRUE(Strict.Eligible);
-  EXPECT_FALSE(Strict.ProvablyLow);
-}
-
-TEST(TaintTest, StrictProvableImpliesVerifierFragmentShape) {
-  const char *Src = "procedure main(l: int) returns (out: int)\n"
-                    "  requires low(l)\n"
-                    "  ensures low(out)\n"
-                    "{\n"
-                    "  var i: int := 0;\n"
-                    "  var t: int := 0;\n"
-                    "  while (i < l) invariant low(i) invariant low(t)\n"
-                    "  { t := t + i; i := i + 1; }\n"
-                    "  out := t;\n"
-                    "}\n";
-  ProcTaintResult Strict = analyze(Src, /*Strict=*/true);
-  EXPECT_TRUE(Strict.Eligible);
-  EXPECT_TRUE(Strict.ProvablyLow) << (Strict.Findings.empty()
-                                          ? ""
-                                          : Strict.Findings.front().Message);
+  EXPECT_TRUE(analyze(Src).ProvablyLow);
 }

@@ -190,7 +190,9 @@ TEST(CorpusTest, WriteCorpusFilesWritesReplayableEntries) {
 
   std::string Dir = ::testing::TempDir() + "/commcsl-corpus-test";
   std::filesystem::remove_all(Dir);
-  std::vector<std::string> Paths = writeCorpusFiles(R, Dir);
+  CorpusWriteResult W = writeCorpusFiles(R, Dir);
+  EXPECT_EQ(W.Unwritten, "");
+  const std::vector<std::string> &Paths = W.Paths;
   ASSERT_EQ(Paths.size(), R.Findings.size());
   for (size_t I = 0; I < Paths.size(); ++I) {
     std::optional<CorpusEntry> E = parseCorpusEntry(readFile(Paths[I]));

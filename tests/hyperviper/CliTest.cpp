@@ -181,6 +181,52 @@ TEST(CliAnalyzeTest, CheckWithWriteIsAUsageErrorThatLeavesSidecars) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(CliAnalyzeTest, UnwritableSidecarIsAnIoError) {
+  // A directory stands where the sidecar should go: the run must name it
+  // and exit 2 rather than report success.
+  const std::string Dir = tmpPath("analyze-unwritable");
+  std::filesystem::remove_all(Dir);
+  const std::string Sidecar = Dir + "/figure1.hv.analysis";
+  std::filesystem::create_directories(Sidecar);
+  std::filesystem::copy_file(example("figure1.hv"), Dir + "/figure1.hv");
+  CmdResult R = run("analyze --write " + Dir);
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("hyperviper analyze: error: cannot write " + Sidecar),
+            std::string::npos)
+      << R.Output;
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CliFuzzTest, UncreatableCorpusDirIsAnIoError) {
+  // A corpus directory below a regular file cannot be created: the run
+  // must name it and exit 2, not die with an uncaught exception.
+  const std::string File = tmpPath("corpus-parent-is-a-file");
+  {
+    std::ofstream Out(File);
+    Out << "not a directory\n";
+  }
+  const std::string Dir = File + "/sub";
+  CmdResult R = run("fuzz --seeds 2 --report /dev/null --corpus-dir " + Dir);
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("hyperviper fuzz: error: cannot write " + Dir),
+            std::string::npos)
+      << R.Output;
+  std::filesystem::remove(File);
+}
+
+TEST(CliRemovedOptionTest, TriageIsRefusedByName) {
+  // Serve refuses the flag before it reads `--help`, so no daemon starts.
+  const std::string Cases[] = {"--triage " + example("figure1.hv"),
+                               "serve --triage --help"};
+  for (const std::string &Args : Cases) {
+    CmdResult R = run(Args);
+    EXPECT_EQ(R.Exit, 2) << Args << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("unknown option '--triage'"), std::string::npos)
+        << Args << "\n"
+        << R.Output;
+  }
+}
+
 TEST(CliObservabilityTest, TraceFlagEmitsChromeTraceJson) {
   std::string Trace = tmpPath("verify.trace.json");
   CmdResult R = run("--quiet --trace " + Trace + " " + example("figure1.hv"));

@@ -461,7 +461,7 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetTypedErrors) {
   } Probes[] = {
       {"fuzz", "seeds", R"("3")", false},
       {"verify", "max_steps", R"("1")", false},
-      {"verify", "triage", R"("true")", false},
+      {"verify", "triage", R"("true")", true},
       {"verify", "jobs", "-1", false},
       {"verify", "jobs", "2.5", false},
       {"verify", "jobs", "0", false},

@@ -10,9 +10,8 @@
 /// relational verifier and the empirical NI harness must agree on every
 /// conditional-level program, the NI report must be byte-identical at any
 /// job count (level guards are evaluated in-state on both runs of the
-/// product, so no schedule or thread count may change a verdict), and
-/// `--triage` must be a pure fast path — identical verdicts and
-/// diagnostics with the static analysis on or off.
+/// product, so no schedule or thread count may change a verdict), and the
+/// verdict and diagnostics must be identical at any job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,31 +100,18 @@ TEST_P(ClassificationCase, NIReportIdenticalAcrossJobCounts) {
     EXPECT_EQ(R1.Violation->describe(), R3.Violation->describe()) << C.File;
 }
 
-/// Triage is a pure fast path: verdict and diagnostics are identical with
-/// the static analysis on or off, at every job count. Conditional-level
-/// procedures and declassify bodies are triage-ineligible by construction,
-/// so triage must never skip its way into a different answer on this
-/// family.
-TEST_P(ClassificationCase, TriageOnOffVerdictsIdentical) {
+/// Verdict and diagnostics are byte-identical at every job count: level
+/// guards are evaluated in-state, never by a worker-dependent path.
+TEST_P(ClassificationCase, VerdictsIdenticalAcrossJobCounts) {
   const ClassCase &C = GetParam();
-  DriverOptions Off;
-  Off.Jobs = 1;
-  DriverResult Ref = Driver(Off).verifyFile(pathOf(C.File));
-  ASSERT_TRUE(Ref.ParseOk);
-
-  for (unsigned Jobs : {1u, 3u}) {
-    DriverOptions On;
-    On.Triage = true;
-    On.Jobs = Jobs;
-    DriverResult R = Driver(On).verifyFile(pathOf(C.File));
-    EXPECT_EQ(R.Verified, Ref.Verified) << C.File << " Jobs=" << Jobs;
-    EXPECT_EQ(R.Diags.str(C.File), Ref.Diags.str(C.File))
-        << C.File << " Jobs=" << Jobs;
-    // This family never qualifies for the strict-provably-low fast path:
-    // its levels are value-dependent, which is exactly what the static
-    // fragment refuses to decide.
-    EXPECT_EQ(R.TriageSkipped, 0u) << C.File;
-  }
+  DriverOptions One, Three;
+  One.Jobs = 1;
+  Three.Jobs = 3;
+  DriverResult R1 = Driver(One).verifyFile(pathOf(C.File));
+  DriverResult R3 = Driver(Three).verifyFile(pathOf(C.File));
+  ASSERT_TRUE(R1.ParseOk);
+  EXPECT_EQ(R1.Verified, R3.Verified) << C.File;
+  EXPECT_EQ(R1.Diags.str(C.File), R3.Diags.str(C.File)) << C.File;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ClassificationCase,

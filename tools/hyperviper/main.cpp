@@ -26,6 +26,7 @@
 #include "support/trace/Metrics.h"
 #include "support/trace/Trace.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -76,9 +77,14 @@ int runFuzz(VerbArgs &A) {
   }
 
   if (!A.CorpusDir.empty()) {
-    std::vector<std::string> Paths = writeCorpusFiles(Report, A.CorpusDir);
+    CorpusWriteResult W = writeCorpusFiles(Report, A.CorpusDir);
+    if (!W.Unwritten.empty()) {
+      std::fprintf(stderr, "%s: error: cannot write %s\n", Sub,
+                   W.Unwritten.c_str());
+      return 2;
+    }
     std::fprintf(stderr, "%s: wrote %zu corpus file(s) to %s\n", Sub,
-                 Paths.size(), A.CorpusDir.c_str());
+                 W.Paths.size(), A.CorpusDir.c_str());
   }
 
   std::fprintf(stderr,
@@ -107,6 +113,11 @@ int runAnalyzeCmd(VerbArgs &A) {
   }
   AnalyzeResult R = runAnalyze(A.Inputs, A.Analyze);
   std::fputs(R.str().c_str(), stdout);
+  if (!R.UnwrittenSidecar.empty()) {
+    std::fprintf(stderr, "%s: error: cannot write %s\n", Sub,
+                 R.UnwrittenSidecar.c_str());
+    return 2;
+  }
   if (A.Analyze.Check && !R.Ok) {
     std::fprintf(stderr,
                  "%s: error: report does not match the committed .analysis "
@@ -252,7 +263,6 @@ int runVerify(VerbArgs &A) {
   const char *Sub = "hyperviper";
   DriverOptions Options;
   Options.Jobs = A.Req.Jobs;
-  Options.Triage = A.Req.Triage;
   Options.Verifier.SkipValidityCheck = A.Req.NoValidity;
   Options.Verifier.EmitCert = !A.CertPath.empty();
   Options.Verifier.ForgeAcceptAll = A.Inject == "accept-all";
@@ -309,16 +319,12 @@ int runVerify(VerbArgs &A) {
       }
     }
     if (A.PrintMetrics && R.ParseOk) {
-      std::printf("  LOC %u  Ann. %u  parse %.3fs  validity %.3fs  "
-                  "verify %.3fs  total %.3fs\n",
+      auto Us = [](double Seconds) { return std::llround(Seconds * 1e6); };
+      std::printf("  LOC %u  Ann. %u  parse %lldus  validity %lldus  "
+                  "verify %lldus  total %lldus\n",
                   R.Metrics.LinesOfCode, R.Metrics.AnnotationLines,
-                  R.ParseSeconds, R.ValiditySeconds, R.VerifySeconds,
-                  R.totalSeconds());
-      if (Options.Triage)
-        std::printf("  triage: skipped %u/%zu relational proof(s)  "
-                    "analysis %.3fs\n",
-                    R.TriageSkipped, R.Verification.Procs.size(),
-                    R.AnalysisSeconds);
+                  Us(R.ParseSeconds), Us(R.ValiditySeconds),
+                  Us(R.VerifySeconds), Us(R.totalSeconds()));
       const CacheStats &C = R.Verification.SpecCache;
       std::printf("  spec memo: %llu hits  %llu misses  %llu entries  "
                   "%llu evictions\n",
